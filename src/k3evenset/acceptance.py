@@ -140,8 +140,11 @@ def oracle_obstructing_roots(ns, divisor, strict: bool, a_cap: Fraction) -> list
 
     Enumerates every candidate C = a L + sum b_i N_i with a on the grid up
     to a_cap and beta_i = -2 b_i nonnegative integers with
-    sum beta_i^2 = 4 d a^2 + 4, pruning only on the exact square budget and
-    the coarse bound |decrease| <= max|2q| * (isqrt(slots*R) + 1).
+    sum beta_i^2 = 4 d a^2 + 4.  It prunes only on the exact square budget
+    and on the coarse bound |decrease| <= max|2q| * (isqrt(nz*R) + 1), where
+    nz counts the unassigned slots with q_i != 0 (zero-weight slots cannot
+    lower the partial sum; with nz = 0 the test is exact).  The last slot is
+    closed by an integer square root instead of a scan.
     """
     root = ns.root()
     d = root.gram[0, 0] // 2
@@ -150,6 +153,7 @@ def oracle_obstructing_roots(ns, divisor, strict: bool, a_cap: Fraction) -> list
     p, qs = rc[0], rc[1:]
     q2 = [int(2 * q) for q in qs]
     maxq2 = max((abs(q) for q in q2), default=0)
+    nonzero_after = [sum(1 for q in q2[i:] if q) for i in range(8)]
     cap = -2 if strict else 0
     found = []
     k = 1
@@ -166,14 +170,16 @@ def oracle_obstructing_roots(ns, divisor, strict: bool, a_cap: Fraction) -> list
         beta = [0] * 8
 
         def rec(i, remaining, partial):
-            if i == 8:
-                if remaining == 0 and partial <= cap:
-                    c = root.vector([a] + [Fraction(-b, 2) for b in beta])
+            if i == 7:
+                b = isqrt(remaining)
+                if b * b == remaining and partial + q2[7] * b <= cap:
+                    beta[7] = b
+                    c = root.vector([a] + [Fraction(-x, 2) for x in beta])
                     if contains(ns, c):
                         found.append(c)
                 return
-            slots = 8 - i
-            if partial - cap > maxq2 * (isqrt(slots * remaining) + 1):
+            nz = nonzero_after[i]
+            if partial - cap > (maxq2 * (isqrt(nz * remaining) + 1) if nz else 0):
                 return
             b = 0
             while b * b <= remaining:
@@ -482,9 +488,27 @@ def _random_unimodular(rng, n: int) -> IntMatrix:
 
 
 def _brute_solve(a: IntMatrix, b, radius: int):
+    """First x in [-radius, radius]^cols, in lexicographic order, with a x = b.
+
+    A row with a nonzero last entry fixes the last coordinate from the
+    others, so only the first cols - 1 coordinates are scanned; the fixed
+    value must be an integer inside the box.  Only an all-zero last column
+    scans the last coordinate too.  Every equation is checked on the full
+    candidate.
+    """
     from itertools import product
 
-    for x in product(range(-radius, radius + 1), repeat=a.cols):
+    box = range(-radius, radius + 1)
+    pivot = next((i for i, row in enumerate(a.entries) if row[-1] != 0), None)
+    for head in product(box, repeat=a.cols if pivot is None else a.cols - 1):
+        if pivot is None:
+            x = head
+        else:
+            row = a.entries[pivot]
+            last, rem = divmod(b[pivot] - sum(r * xi for r, xi in zip(row, head)), row[-1])
+            if rem or not -radius <= last <= radius:
+                continue
+            x = head + (last,)
         if all(
             sum(r * xi for r, xi in zip(row, x)) == bb for row, bb in zip(a.entries, b)
         ):

@@ -3,7 +3,8 @@
 The group is the cokernel of the Gram matrix.  With U*G*V = D in Smith form,
 A_L is the direct sum of Z/d_i over the nontrivial invariant factors, and a
 generator of the Z/d_i summand lifts to the rational vector G^-1 * (column i
-of U^-1), expressed in the lattice's own basis.
+of U^-1) = V * D^-1 * e_i, i.e. column i of V divided by d_i, expressed in
+the lattice's own basis.  No matrix is inverted.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import det, qmat, qmat_inverse, smith_normal_form
+from .exactlin import det, smith_normal_form
 from .lattice import FrameVector, IntegerLattice, inner
 
 
@@ -30,8 +31,6 @@ def discriminant_group(lat: IntegerLattice) -> DiscriminantGroup:
     if d == 0:
         raise ValueError(f"{lat.name}: degenerate lattice has no discriminant group")
     snf = smith_normal_form(g)
-    uinv = qmat_inverse(qmat(snf.left.entries))
-    ginv = qmat_inverse(qmat(g.entries))
     factors = []
     lifts = []
     order = 1
@@ -40,12 +39,9 @@ def discriminant_group(lat: IntegerLattice) -> DiscriminantGroup:
             continue
         factors.append(di)
         order *= di
-        # generator of the Z/d_i summand: preimage of e_i under x -> U x
-        m = tuple(row[i] for row in uinv)
-        y = [sum(ginv[r][c] * m[c] for c in range(lat.rank)) for r in range(lat.rank)]
-        # canonical representative: coordinates reduced into [0, 1)
-        y = [f - (f.numerator // f.denominator) for f in y]
-        lifts.append(lat.vector(y))
+        # generator of the Z/d_i summand: G^-1 U^-1 e_i = V D^-1 e_i, with the
+        # coordinates reduced into [0, 1) for a canonical representative
+        lifts.append(lat.vector([Fraction(row[i] % di, di) for row in snf.right.entries]))
     return DiscriminantGroup(tuple(factors), tuple(lifts), order)
 
 

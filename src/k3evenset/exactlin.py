@@ -20,7 +20,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(int, row)) for row in entries)
         if not rows:
             raise ValueError("matrix must have at least one row")
         ncols = len(rows[0])
@@ -427,26 +427,6 @@ QMatrix = tuple[tuple[Fraction, ...], ...]
 
 def qmat(rows: Iterable[Iterable]) -> QMatrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def qmat_identity(n: int) -> QMatrix:
-    return qmat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-
-def qmat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
-    if len(a[0]) != len(b):
-        raise ValueError("dimension mismatch in rational product")
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def qvec_mat(v: Sequence[Fraction], b: QMatrix) -> tuple[Fraction, ...]:
-    """Row vector times matrix."""
-    if len(v) != len(b):
-        raise ValueError("dimension mismatch in vector-matrix product")
-    return tuple(sum(x * row[j] for x, row in zip(v, b)) for j in range(len(b[0])))
 
 
 def qmat_solve(a: QMatrix, b: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import (
@@ -22,7 +23,6 @@ from .exactlin import (
     qmat_inverse,
     qmat_nullspace,
     qmat_solve,
-    qvec_mat,
     row_hnf,
     signature,
     smith_diagonal,
@@ -56,7 +56,8 @@ class IntegerLattice:
         self.even = even
         if frame is not None:
             parent, rows = frame
-            rows = qmat(rows)
+            if not _trusted_frame:  # framed() passes rows already read by qmat
+                rows = qmat(rows)
             if len(rows) != self.rank or any(len(r) != parent.rank for r in rows):
                 raise ValueError(f"{name}: frame matrix has wrong shape")
             if not _trusted_frame:
@@ -69,7 +70,6 @@ class IntegerLattice:
         else:
             self.frame = None
         self._basis_in_root: QMatrix | None = None
-        self._coord_inverse: QMatrix | None = None
         self._bir_scaled: tuple | None = None
         self._inv_scaled: tuple | None = None
         self._basis_vectors: list | None = None
@@ -122,14 +122,8 @@ class IntegerLattice:
                 parent, rows = self.frame
                 rint, s1 = _scaled_int_rows(rows)
                 pint, s2 = parent.basis_in_root_scaled()
-                dim = len(pint[0])
-                prod = [
-                    [
-                        sum(rint[i][k] * pint[k][j] for k in range(len(pint)))
-                        for j in range(dim)
-                    ]
-                    for i in range(len(rint))
-                ]
+                cols = list(zip(*pint))
+                prod = [[sum(map(mul, row, col)) for col in cols] for row in rint]
                 s = s1 * s2
                 g = s
                 for row in prod:
@@ -181,16 +175,19 @@ class IntegerLattice:
 
     def coords_from_root(self, root_coords: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
         """Coordinates in this basis of a root-frame vector, or None if off-span."""
-        b = self.basis_in_root()
-        dim = len(b[0])
-        if len(root_coords) != dim:
+        fracs = [Fraction(x) for x in root_coords]
+        dim = len(self.basis_in_root_scaled()[0][0])
+        if len(fracs) != dim:
             raise ValueError("root coordinate length mismatch")
         if self.rank == dim:
-            if self._coord_inverse is None:
-                self._coord_inverse = qmat_inverse(b)
-            return qvec_mat(tuple(Fraction(x) for x in root_coords), self._coord_inverse)
-        bt = _qtranspose(b)
-        return qmat_solve(bt, tuple(Fraction(x) for x in root_coords))
+            # x * M^-1 = (den * x) * (t * M^-1) / (den * t), all in integers
+            minv, t = self._coord_inverse_scaled()
+            den = 1
+            for f in fracs:
+                den = lcm(den, f.denominator)
+            xi = [f.numerator * (den // f.denominator) for f in fracs]
+            return tuple(Fraction(sum(map(mul, xi, col)), den * t) for col in zip(*minv))
+        return qmat_solve(_qtranspose(self.basis_in_root()), tuple(fracs))
 
 
 class FrameVector:
@@ -327,15 +324,13 @@ def _transport_gram(rows: QMatrix, parent_gram: IntMatrix) -> IntMatrix:
     """B * G * B^T computed over scaled integers (no Fraction arithmetic)."""
     b, s = _scaled_int_rows(rows)
     g = parent_gram.entries
-    n = len(b)
-    dim = len(g)
-    gb = [[sum(g[i][k] * row[k] for k in range(dim)) for i in range(dim)] for row in b]
+    gb = [[sum(map(mul, grow, row)) for grow in g] for row in b]
     s2 = s * s
     entries = []
-    for i in range(n):
+    for bi in b:
         out = []
-        for j in range(n):
-            v = sum(b[i][k] * gb[j][k] for k in range(dim))
+        for gbj in gb:
+            v = sum(map(mul, bi, gbj))
             if v % s2 != 0:
                 raise ValueError("transported Gram matrix is not integral")
             out.append(v // s2)
@@ -426,8 +421,7 @@ def integral_coords_matrix(
     for v in vectors:
         if not frames_compatible(ambient, v.lattice):
             raise ValueError("vector frame incompatible with the ambient lattice")
-    basis = ambient.basis_in_root()
-    b_int, s = _scaled_int_rows(basis)
+    b_int, s = ambient.basis_in_root_scaled()
     a = IntMatrix(b_int).transpose()  # columns = scaled basis vectors
     snf = smith_normal_form(a)
     left, right, diag = snf.left, snf.right, snf.diag
@@ -440,7 +434,7 @@ def integral_coords_matrix(
             if val % dv != 0:
                 return None
             target.append(val // dv)
-        c = [sum(l * t for l, t in zip(row, target)) for row in left.entries]
+        c = [sum(map(mul, row, target)) for row in left.entries]
         y = [0] * a.cols
         for i in range(a.rows):
             d = diag[i] if i < len(diag) else 0
@@ -452,9 +446,7 @@ def integral_coords_matrix(
                     return None
                 if i < a.cols:
                     y[i] = c[i] // d
-        rows_out.append(
-            [sum(r * t for r, t in zip(row, y)) for row in right.entries]
-        )
+        rows_out.append([sum(map(mul, row, y)) for row in right.entries])
     return IntMatrix(rows_out)
 
 

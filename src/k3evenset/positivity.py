@@ -7,19 +7,20 @@ used in all the ampleness proofs, as C = a*L + sum b_i N_i with a > 0 and
 b_i <= 0; the N_i enter every classification separately.
 
 Completeness of the search is proof-backed rather than heuristic.  For a
-divisor D = p*L + sum q_i N_i (q_i <= 0, support S, w = max |q_i|) and a
-root C (so sum b_i^2 = d a^2 + 1), the obstruction D.C <= 0 forces
+divisor D = p*L + sum q_i N_i (q_i <= 0, Q = sum q_i^2) and a root C (so
+sum b_i^2 = d a^2 + 1), the obstruction D.C <= 0 forces
 
-    (d p a)^2 <= w^2 |S| (d a^2 + 1)
+    (d p a)^2 <= Q (d a^2 + 1)
 
 by Cauchy-Schwarz, and D.C <= -1 (the strict test; intersection numbers of
 lattice points are integers) forces
 
-    (2 d p a + 1)^2 <= 4 w^2 |S| (d a^2 + 1).
+    (2 d p a + 1)^2 <= 4 Q (d a^2 + 1).
 
 Each is a quadratic inequality in a whose admissible solutions are scanned
 exactly over the family's coordinate grid; the largest one is the reported
-search bound a_max.
+search bound a_max.  The leading coefficient d^2 p^2 - d Q equals d D^2 / 2,
+so the bound is finite for every divisor of positive square.
 """
 
 from __future__ import annotations
@@ -126,33 +127,30 @@ def _candidate_a_values(
     d: int, p: Fraction, qs: Sequence[Fraction], a_den: int, strict: bool
 ) -> tuple[list[Fraction], Fraction]:
     """Admissible a grid values under the Cauchy-Schwarz bound, plus a_max."""
-    support = [q for q in qs if q != 0]
-    sigma = len(support)
-    w = max((abs(q) for q in support), default=Fraction(0))
-    lead = d * d * p * p - w * w * sigma * d
+    qq = sum(q * q for q in qs)
+    lead = d * d * p * p - qq * d  # = d * D^2 / 2
     if lead < 0:
         raise ValueError(
-            "search bound degenerates (mixed-weight divisor with negative leading term); "
+            "search bound degenerates (divisor of negative square); "
             "cannot certify completeness"
         )
     if not strict:
-        # (d p a)^2 <= w^2 sigma (d a^2 + 1)  <=>  lead * a^2 <= w^2 sigma
+        # (d p a)^2 <= Q (d a^2 + 1)  <=>  lead * a^2 <= Q
         if lead == 0:
             raise ValueError(
                 "non-strict obstruction search is unbounded for an isotropic divisor"
             )
-        cap = w * w * sigma
 
         def check(a: Fraction) -> bool:
-            return lead * a * a <= cap
+            return lead * a * a <= qq
 
     else:
-        # (2 d p a + 1)^2 <= 4 w^2 sigma (d a^2 + 1)
-        # <=> 4*lead*a^2 + 4*d*p*a + (1 - 4 w^2 sigma) <= 0
+        # (2 d p a + 1)^2 <= 4 Q (d a^2 + 1)
+        # <=> 4*lead*a^2 + 4*d*p*a + (1 - 4 Q) <= 0
         # For lead > 0 this holds on an interval whose left end is negative,
-        # for lead = 0 it is the half-line a <= (4 w^2 sigma - 1)/(4 d p);
+        # for lead = 0 it is the half-line a <= (4 Q - 1)/(4 d p);
         # either way the feasible a > 0 form an initial grid segment.
-        c0 = 1 - 4 * w * w * sigma
+        c0 = 1 - 4 * qq
 
         def check(a: Fraction) -> bool:
             return 4 * lead * a * a + 4 * d * p * a + c0 <= 0
@@ -355,21 +353,15 @@ def isotropic_classes(
     t = dots[-1]
     profile = derive_profile(ns)
     p, qs = _split_divisor(root, divisor)
-    support = [q for q in qs if q != 0]
-    sigma = len(support)
-    w = max((abs(q) for q in support), default=Fraction(0))
-    lead = d * d * p * p - w * w * sigma * d
-    if lead <= 0:
-        raise ValueError("isotropic search bound degenerates for this divisor")
-
-    # feasible region: {2 d p x <= t} union {(2 d p x - t)^2 <= 4 w^2 sigma d x^2},
-    # which is an initial segment of the positive axis since the quadratic is
-    # non-positive at x = t/(2dp)
+    qq = sum(q * q for q in qs)
+    # feasible region: {2 d p x <= t} union {(2 d p x - t)^2 <= 4 Q d x^2},
+    # Q = sum q_i^2; d^2 p^2 - d Q = d D^2 / 2 > 0 makes it an initial segment
+    # of the positive axis, since the quadratic is non-positive at x = t/(2dp)
     def check(x: Fraction) -> bool:
         lhs = 2 * d * p * x - t
         if lhs < 0:
             return True
-        return lhs * lhs <= 4 * w * w * sigma * d * x * x
+        return lhs * lhs <= 4 * qq * d * x * x
 
     xs = []
     k = 1

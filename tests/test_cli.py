@@ -60,6 +60,16 @@ def test_ample(capsys):
     assert data["report"]["status"] == "pseudo_ample"
 
 
+def test_ample_mixed_weight_divisor(capsys):
+    # D^2 = 16 > 0; a bound on D.C from max|q_i|^2 * |support| instead of
+    # sum q_i^2 used to refuse this divisor
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "ample", "L:2d=12", "--divisor", "2L-3N1-N2-N3-N4-N5-N6-N7-N8"
+    )
+    assert code == 0
+    assert json.loads(out)["report"]["status"] == "ample"
+
+
 def test_ample_rejects_bad_divisor(capsys):
     code, _, err = run_cli(capsys, "ample", "L:2d=6", "--divisor", "L-N9")
     assert code == 2

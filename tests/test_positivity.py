@@ -70,6 +70,24 @@ def test_l_minus_four_n_pseudo_ample():
     assert classify_positivity(ns, dv).status == "pseudo_ample"
 
 
+def test_mixed_weight_divisors_are_certified():
+    # the Cauchy-Schwarz bound uses sum q_i^2, whose leading term d D^2 / 2
+    # is positive for every divisor of positive square
+    cases = [
+        ("L:2d=12", "2L-3N1-N2-N3-N4-N5-N6-N7-N8", "ample"),
+        ("L:2d=20", "2L-4N1-N2-N3-N4-N5-N6-N7-N8", "ample"),
+        ("L:2d=40", "2L-5N1-2N2-N3-N4-N5-N6-N7-N8", "ample"),
+        ("L:2d=6", "3L-3N1-N2-N3-N4-N5", "pseudo_ample"),
+    ]
+    for label, text, status in cases:
+        ns, dv = divisor(label, text)
+        report = classify_positivity(ns, dv)
+        assert report.status == status, (label, text)
+        assert report.search_bound == 0
+    assert report.witness == ns.root().basis_vector(8)
+    assert isotropic_classes(ns, dv, [1, 2]) == []
+
+
 def test_lprime_l_minus_nhat_ample_even_d_at_least_4():
     for d in (4, 6, 8, 12):
         ns, dv = divisor(f"L':2d={2*d}", "L-Nhat")
