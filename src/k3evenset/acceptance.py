@@ -490,29 +490,33 @@ def _random_unimodular(rng, n: int) -> IntMatrix:
 def _brute_solve(a: IntMatrix, b, radius: int):
     """First x in [-radius, radius]^cols, in lexicographic order, with a x = b.
 
-    A row with a nonzero last entry fixes the last coordinate from the
-    others, so only the first cols - 1 coordinates are scanned; the fixed
-    value must be an integer inside the box.  Only an all-zero last column
-    scans the last coordinate too.  Every equation is checked on the full
-    candidate.
+    An all-zero column leaves its coordinate free, so the first solution
+    puts -radius there; those columns are dropped and put back at the end.
+    In what is left, a row with a nonzero last entry fixes the last
+    coordinate from the others, so only the first cols - 1 coordinates are
+    scanned; the fixed value must be an integer inside the box.  Every
+    equation is checked on the full candidate.
     """
     from itertools import product
 
+    keep = [j for j in range(a.cols) if any(row[j] for row in a.entries)]
+    rows = [[row[j] for j in keep] for row in a.entries]
     box = range(-radius, radius + 1)
-    pivot = next((i for i, row in enumerate(a.entries) if row[-1] != 0), None)
-    for head in product(box, repeat=a.cols if pivot is None else a.cols - 1):
+    pivot = next((i for i, row in enumerate(rows) if row[-1] != 0), None) if keep else None
+    for head in product(box, repeat=max(len(keep) - 1, 0)):
         if pivot is None:
-            x = head
+            y = head
         else:
-            row = a.entries[pivot]
-            last, rem = divmod(b[pivot] - sum(r * xi for r, xi in zip(row, head)), row[-1])
+            row = rows[pivot]
+            last, rem = divmod(b[pivot] - sum(r * yi for r, yi in zip(row, head)), row[-1])
             if rem or not -radius <= last <= radius:
                 continue
-            x = head + (last,)
-        if all(
-            sum(r * xi for r, xi in zip(row, x)) == bb for row, bb in zip(a.entries, b)
-        ):
-            return x
+            y = head + (last,)
+        if all(sum(r * yi for r, yi in zip(row, y)) == bb for row, bb in zip(rows, b)):
+            x = [-radius] * a.cols
+            for j, v in zip(keep, y):
+                x[j] = v
+            return tuple(x)
     return None
 
 

@@ -53,7 +53,7 @@ def _cmd_disc(args) -> int:
 
 
 def _cmd_glues(args) -> int:
-    classes = admissible_glues(args.d, jobs=args.jobs)
+    classes = admissible_glues(args.d)
     data = {
         "d": args.d,
         "count": sum(len(c) for c in classes),
@@ -101,7 +101,7 @@ def _cmd_overlattice(args) -> int:
 def _cmd_ample(args) -> int:
     ns = make(parse_family(args.family))
     divisor = parse_divisor(ns, args.divisor)
-    report = classify_positivity(ns, divisor, jobs=args.jobs)
+    report = classify_positivity(ns, divisor)
     data = {"family": args.family, "report": report.to_json()}
 
     def text(d):
@@ -232,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         "of eight disjoint rational curves.",
     )
     parser.add_argument("--format", choices=("json", "text"), default="text")
-    parser.add_argument("--jobs", type=int, default=1, help="worker count for searches")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("disc", help="discriminant group of a family lattice")

@@ -1,10 +1,11 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here runs on Python's arbitrary-precision integers and on
-``fractions.Fraction``; no floating point is used anywhere.  The module
-provides the arithmetic substrate for the lattice machinery: fraction-free
-determinants, Smith normal form with unimodular transforms, exact signatures
-of symmetric forms by congruence reduction, and integral linear solving.
+Everything here runs on Python's arbitrary-precision integers; no floating
+point is used anywhere, and ``fractions.Fraction`` appears only inside the
+congruence reduction of ``signature``.  The module provides the arithmetic
+substrate for the lattice machinery: fraction-free determinants, one Smith
+normal form with unimodular transforms, row Hermite normal form, exact
+signatures of symmetric forms and integral linear solving.
 """
 
 from __future__ import annotations
@@ -230,59 +231,6 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     return SNFResult(diag, IntMatrix(left), IntMatrix(right))
 
 
-def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    """Nontrivial invariant factors (the SNF diagonal without 1s and 0s kept)."""
-    return smith_normal_form(m).diag
-
-
-def smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors only, without transform bookkeeping."""
-    rows, cols = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    n = min(rows, cols)
-    out = []
-    for k in range(n):
-        while True:
-            pos = _snf_find_pivot(a, k, rows, cols)
-            if pos is None:
-                break
-            pi, pj = pos
-            a[k], a[pi] = a[pi], a[k]
-            if pj != k:
-                for r in range(rows):
-                    a[r][k], a[r][pj] = a[r][pj], a[r][k]
-            dirty = False
-            p = a[k][k]
-            for i in range(k + 1, rows):
-                if a[i][k] != 0:
-                    q = a[i][k] // p
-                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-                    if a[i][k] != 0:
-                        dirty = True
-            for j in range(k + 1, cols):
-                if a[k][j] != 0:
-                    q = a[k][j] // p
-                    for r in range(rows):
-                        a[r][j] -= q * a[r][k]
-                    if a[k][j] != 0:
-                        dirty = True
-            if dirty:
-                continue
-            bad = None
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if a[i][j] % p != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            a[k] = [x + y for x, y in zip(a[k], a[bad])]
-        out.append(abs(a[k][k]))
-    return tuple(out)
-
-
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Inverse of a unimodular integer matrix, over the integers.
 
@@ -344,7 +292,7 @@ def signature(g: IntMatrix) -> Signature:
     entry is handled with the standard hyperbolic step (add one row/column
     into the other), which exposes a nonzero diagonal entry.
     """
-    if not m_is_symmetric(g):
+    if not g.is_symmetric():
         raise ValueError("signature requires a symmetric matrix")
     n = g.rows
     a = [[Fraction(x) for x in row] for row in g.entries]
@@ -374,10 +322,6 @@ def signature(g: IntMatrix) -> Signature:
                 for j in range(k, n):
                     a[j][i] -= q * a[j][k]
     return Signature(pos, neg, zero)
-
-
-def m_is_symmetric(g: IntMatrix) -> bool:
-    return g.is_symmetric()
 
 
 def _sym_swap(a, i, j):
@@ -418,97 +362,3 @@ def solve_integral(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
                 y[i] = c[i] // d
     x = [sum(r * v for r, v in zip(row, y)) for row in snf.right.entries]
     return tuple(x)
-
-
-# --- rational (Fraction) helpers used by the lattice layer ---------------
-
-QMatrix = tuple[tuple[Fraction, ...], ...]
-
-
-def qmat(rows: Iterable[Iterable]) -> QMatrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def qmat_solve(a: QMatrix, b: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
-    """One rational solution of ``A x = b`` (column form), or None.
-
-    Plain Gauss elimination with partial pivoting over Fraction; free
-    variables are set to zero.
-    """
-    rows = [list(row) + [Fraction(bb)] for row, bb in zip(a, b)]
-    nrows, ncols = len(rows), len(a[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if rows[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][ncols]
-    return tuple(x)
-
-
-def qmat_inverse(a: QMatrix) -> QMatrix:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("inverse requires a square matrix")
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pr is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pr] = aug[pr], aug[c]
-        piv = aug[c][c]
-        aug[c] = [x / piv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def qmat_nullspace(a: QMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel of ``a`` over the rationals."""
-    nrows, ncols = len(a), len(a[0])
-    rows = [list(row) for row in a]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -rows[i][f]
-        basis.append(tuple(v))
-    return basis

@@ -154,6 +154,11 @@ class NSFamily:
 
 
 def parse_family(text: str) -> NSFamily:
+    return NSFamily(*parse_family_syntax(text))
+
+
+def parse_family_syntax(text: str) -> tuple[str, int]:
+    """(kind, parameter) of a family label, before the parity constraints."""
     m = _FAMILY_RE.match(text.strip())
     if not m:
         raise ValueError(
@@ -167,7 +172,7 @@ def parse_family(text: str) -> NSFamily:
     subscript = int(value)
     if subscript <= 0 or subscript % 2 != 0:
         raise ValueError(f"family subscript must be a positive even integer, got {subscript}")
-    return NSFamily(kind, subscript // 2)
+    return kind, subscript // 2
 
 
 # --- construction ------------------------------------------------------------
@@ -379,7 +384,7 @@ def validate_glue(base: IntegerLattice, glue: FrameVector) -> None:
         raise ValueError(f"evenness failure: adjoined square {sq} is not in 2Z")
 
 
-def admissible_glues(d: int, jobs: int = 1) -> list[list[GlueVector]]:
+def admissible_glues(d: int) -> list[list[GlueVector]]:
     """All admissible glue vectors for L^2 = 2d, grouped into equivalence classes.
 
     The scan runs over all 2^8 supports; each survivor is validated by the
@@ -395,17 +400,7 @@ def admissible_glues(d: int, jobs: int = 1) -> list[list[GlueVector]]:
         for size in range(0, 9, 2)
         for s in combinations(range(1, 9), size)
     ]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def check(s):
-            g = GlueVector(s)
-            return g if glue_admissible(d, g) else None
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            found = [g for g in pool.map(check, supports) if g is not None]
-    else:
-        found = [GlueVector(s) for s in supports if glue_admissible(d, GlueVector(s))]
+    found = [GlueVector(s) for s in supports if glue_admissible(d, GlueVector(s))]
     found.sort(key=lambda g: (len(g.support), g.sorted_support()))
     base = make(NSFamily(KIND_L, d))
     root = base.root()

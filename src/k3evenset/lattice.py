@@ -1,11 +1,14 @@
-"""Even integral lattices with named bases and exact rational frames.
+"""Even integral lattices with named bases and exact integer frames.
 
 A lattice either stands on its own (it is its own *root frame*) or carries a
-frame: a parent lattice together with a rational matrix whose rows express
-this lattice's basis in the parent's coordinates.  All derived lattices of a
-construction (sublattices, index-two overlattices, family members) live in
-one root frame, so statements such as "(L - N1 - N2)/2 lies in L'_4 but not
-in L_4" are decided by exact coordinate arithmetic and never by convention.
+frame: a parent lattice together with integer rows over one common
+denominator s, so that row i divided by s expresses basis vector i in the
+parent's coordinates.  All derived lattices of a construction (sublattices,
+index-two overlattices, family members) live in one root frame, so
+statements such as "(L - N1 - N2)/2 lies in L'_4 but not in L_4" are decided
+by exact coordinate arithmetic and never by convention.  Membership and
+coordinates come from one integer Smith solver per lattice; Fraction appears
+only at the vector interface.
 """
 
 from __future__ import annotations
@@ -17,18 +20,14 @@ from typing import Iterable, Optional, Sequence
 
 from .exactlin import (
     IntMatrix,
-    QMatrix,
     det,
-    qmat,
-    qmat_inverse,
-    qmat_nullspace,
-    qmat_solve,
     row_hnf,
     signature,
-    smith_diagonal,
     smith_normal_form,
     unimodular_inverse,
 )
+
+IntRows = tuple[tuple[int, ...], ...]
 
 
 class IntegerLattice:
@@ -39,9 +38,7 @@ class IntegerLattice:
         name: str,
         gram: IntMatrix,
         basis_names: Sequence[str],
-        frame: Optional[tuple["IntegerLattice", QMatrix]] = None,
         even: bool = True,
-        _trusted_frame: bool = False,
     ):
         if not gram.is_symmetric():
             raise ValueError(f"{name}: Gram matrix must be symmetric")
@@ -54,24 +51,10 @@ class IntegerLattice:
         self.gram = gram
         self.basis_names = tuple(basis_names)
         self.even = even
-        if frame is not None:
-            parent, rows = frame
-            if not _trusted_frame:  # framed() passes rows already read by qmat
-                rows = qmat(rows)
-            if len(rows) != self.rank or any(len(r) != parent.rank for r in rows):
-                raise ValueError(f"{name}: frame matrix has wrong shape")
-            if not _trusted_frame:
-                transported = _transport_gram(rows, parent.gram)
-                if transported != gram:
-                    raise ValueError(
-                        f"{name}: Gram matrix does not match the form transported from {parent.name}"
-                    )
-            self.frame = (parent, rows)
-        else:
-            self.frame = None
-        self._basis_in_root: QMatrix | None = None
-        self._bir_scaled: tuple | None = None
-        self._inv_scaled: tuple | None = None
+        # (parent, integer rows, s): basis vector i is rows[i] / s in the parent
+        self.frame: Optional[tuple[IntegerLattice, IntRows, int]] = None
+        self._bir_scaled: tuple[IntRows, int] | None = None
+        self._solver: tuple[IntRows, int, IntRows] | None = None
         self._basis_vectors: list | None = None
 
     @staticmethod
@@ -84,17 +67,21 @@ class IntegerLattice:
     ) -> "IntegerLattice":
         """Build a lattice from basis rows in the parent's coordinates.
 
-        The Gram matrix is transported from the parent and must come out
-        integral (and even unless flagged otherwise).
+        Entries may be anything Fraction accepts; they are read once into
+        integer rows over their least common denominator.  The Gram matrix
+        is transported from the parent and must come out integral (and even
+        unless flagged otherwise).
         """
-        rows = qmat(rows)
+        ints, s = _scaled_int_rows(rows)
+        if any(len(r) != parent.rank for r in ints):
+            raise ValueError(f"{name}: frame matrix has wrong shape")
         try:
-            gram = _transport_gram(rows, parent.gram)
+            gram = _transport_gram(ints, s, parent.gram)
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
-        return IntegerLattice(
-            name, gram, basis_names, frame=(parent, rows), even=even, _trusted_frame=True
-        )
+        lat = IntegerLattice(name, gram, basis_names, even=even)
+        lat.frame = (parent, ints, s)
+        return lat
 
     def __repr__(self):
         return f"IntegerLattice({self.name!r}, rank={self.rank})"
@@ -105,8 +92,8 @@ class IntegerLattice:
             lat = lat.frame[0]
         return lat
 
-    def basis_in_root_scaled(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(s * basis_in_root as integer rows, s); the primary representation.
+    def basis_in_root_scaled(self) -> tuple[IntRows, int]:
+        """(s * basis in root-frame coordinates as integer rows, s).
 
         Composed through the frame chain in integer arithmetic, with a final
         gcd reduction to keep the scale minimal.
@@ -119,8 +106,7 @@ class IntegerLattice:
                 )
                 self._bir_scaled = (ident, 1)
             else:
-                parent, rows = self.frame
-                rint, s1 = _scaled_int_rows(rows)
+                parent, rint, s1 = self.frame
                 pint, s2 = parent.basis_in_root_scaled()
                 cols = list(zip(*pint))
                 prod = [[sum(map(mul, row, col)) for col in cols] for row in rint]
@@ -135,22 +121,43 @@ class IntegerLattice:
                 self._bir_scaled = (tuple(tuple(r) for r in prod), s)
         return self._bir_scaled
 
-    def basis_in_root(self) -> QMatrix:
-        """Rows express this lattice's basis in root-frame coordinates."""
-        if self._basis_in_root is None:
-            ints, s = self.basis_in_root_scaled()
-            self._basis_in_root = tuple(
-                tuple(Fraction(x, s) for x in row) for row in ints
-            )
-        return self._basis_in_root
+    def _coord_solver(self) -> tuple[IntRows, int, IntRows]:
+        """(P, t, K): a root vector x has coordinates P x / t, and lies on
+        this lattice's span iff K x = 0.
 
-    def _coord_inverse_scaled(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(t * inverse of basis_in_root as integers, t); full rank only."""
-        if self._inv_scaled is None:
-            inv = qmat_inverse(self.basis_in_root())
-            ints, t = _scaled_int_rows(inv)
-            self._inv_scaled = (tuple(tuple(r) for r in ints), t)
-        return self._inv_scaled
+        With (B, s) the scaled basis, coordinates c solve B^T c = s x.  One
+        Smith form U B^T V = D turns this into d_i (V^-1 c)_i = s (U x)_i for
+        i below the rank and (U x)_i = 0 beyond it, so t = d_rank,
+        P = s V diag(t / d_i) U[:rank] (both reduced by their gcd) and
+        K = U[rank:].
+        """
+        if self._solver is None:
+            b, s = self.basis_in_root_scaled()
+            snf = smith_normal_form(IntMatrix(b).transpose())
+            diag = snf.diag
+            if len(diag) < self.rank or 0 in diag:
+                raise ValueError(f"{self.name}: frame rows are linearly dependent")
+            t = diag[-1]
+            u = snf.left.entries
+            scaled = [[s * (t // d) * x for x in u[i]] for i, d in enumerate(diag)]
+            p = [[sum(map(mul, vrow, col)) for col in zip(*scaled)] for vrow in snf.right.entries]
+            g = t
+            for row in p:
+                for x in row:
+                    g = gcd(g, x)
+            self._solver = (
+                tuple(tuple(x // g for x in row) for row in p),
+                t // g,
+                u[self.rank:],
+            )
+        return self._solver
+
+    def _solve_scaled(self, xi: Sequence[int]) -> Optional[tuple[list[int], int]]:
+        """(t * coordinates of the integer root vector xi, t), or None off-span."""
+        p, t, k = self._coord_solver()
+        if any(sum(map(mul, row, xi)) for row in k):
+            return None
+        return [sum(map(mul, row, xi)) for row in p], t
 
     def vector(self, coords: Iterable) -> "FrameVector":
         """Vector with the given rational coordinates in this lattice's basis."""
@@ -176,18 +183,16 @@ class IntegerLattice:
     def coords_from_root(self, root_coords: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
         """Coordinates in this basis of a root-frame vector, or None if off-span."""
         fracs = [Fraction(x) for x in root_coords]
-        dim = len(self.basis_in_root_scaled()[0][0])
-        if len(fracs) != dim:
+        if len(fracs) != len(self.basis_in_root_scaled()[0][0]):
             raise ValueError("root coordinate length mismatch")
-        if self.rank == dim:
-            # x * M^-1 = (den * x) * (t * M^-1) / (den * t), all in integers
-            minv, t = self._coord_inverse_scaled()
-            den = 1
-            for f in fracs:
-                den = lcm(den, f.denominator)
-            xi = [f.numerator * (den // f.denominator) for f in fracs]
-            return tuple(Fraction(sum(map(mul, xi, col)), den * t) for col in zip(*minv))
-        return qmat_solve(_qtranspose(self.basis_in_root()), tuple(fracs))
+        den = 1
+        for f in fracs:
+            den = lcm(den, f.denominator)
+        solved = self._solve_scaled([f.numerator * (den // f.denominator) for f in fracs])
+        if solved is None:
+            return None
+        c, t = solved
+        return tuple(Fraction(x, den * t) for x in c)
 
 
 class FrameVector:
@@ -303,26 +308,18 @@ def _coerce_pair(x: FrameVector, y: FrameVector):
     return x.root_coords(), y.root_coords(), x.root()
 
 
-def _gram_as_q(g: IntMatrix) -> QMatrix:
-    return qmat(g.entries)
-
-
-def _qtranspose(m: QMatrix) -> QMatrix:
-    return tuple(zip(*m))
-
-
-def _scaled_int_rows(rows: QMatrix) -> tuple[list[list[int]], int]:
-    """(s * rows as integers, s) for the common denominator s."""
+def _scaled_int_rows(rows: Iterable[Iterable]) -> tuple[IntRows, int]:
+    """(s * rows as integers, s) for the least common denominator s."""
+    fracs = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in r] for r in rows]
     s = 1
-    for r in rows:
+    for r in fracs:
         for x in r:
             s = lcm(s, x.denominator)
-    return [[x.numerator * (s // x.denominator) for x in r] for r in rows], s
+    return tuple(tuple(x.numerator * (s // x.denominator) for x in r) for r in fracs), s
 
 
-def _transport_gram(rows: QMatrix, parent_gram: IntMatrix) -> IntMatrix:
-    """B * G * B^T computed over scaled integers (no Fraction arithmetic)."""
-    b, s = _scaled_int_rows(rows)
+def _transport_gram(b: IntRows, s: int, parent_gram: IntMatrix) -> IntMatrix:
+    """(B/s) * G * (B/s)^T computed over the integers."""
     g = parent_gram.entries
     gb = [[sum(map(mul, grow, row)) for grow in g] for row in b]
     s2 = s * s
@@ -386,21 +383,13 @@ def contains_multiple(lat: IntegerLattice, x: FrameVector, k: int = 1) -> bool:
         raise ValueError(
             f"vector in frame {x.lattice.root().name} cannot be read in {lat.root().name}"
         )
-    if lat.rank == len(lat.basis_in_root_scaled()[0][0]):
-        # full rank: integer divisibility test against the scaled inverse
-        minv, t = lat._coord_inverse_scaled()
-        xi, dx = x.root_scaled()
-        den = dx * t
-        n = lat.rank
-        for j in range(n):
-            val = k * sum(xi[m] * minv[m][j] for m in range(n))
-            if val % den != 0:
-                return False
-        return True
-    c = coords_in(lat, x)
-    if c is None:
+    xi, dx = x.root_scaled()
+    solved = lat._solve_scaled(xi)
+    if solved is None:
         return False
-    return all((k * f).denominator == 1 for f in c)
+    c, t = solved
+    den = dx * t
+    return all(k * v % den == 0 for v in c)
 
 
 def contains(lat: IntegerLattice, x: FrameVector) -> bool:
@@ -413,40 +402,25 @@ def integral_coords_matrix(
 ) -> Optional[IntMatrix]:
     """Integer coordinates of vectors in ambient's basis, or None.
 
-    All solves share one Smith normal form of ambient's scaled basis matrix,
-    so the whole computation stays in integer arithmetic.
+    All solves share ambient's cached Smith solver, so the whole computation
+    stays in integer arithmetic.
     """
     if not vectors:
         raise ValueError("need at least one vector")
     for v in vectors:
         if not frames_compatible(ambient, v.lattice):
             raise ValueError("vector frame incompatible with the ambient lattice")
-    b_int, s = ambient.basis_in_root_scaled()
-    a = IntMatrix(b_int).transpose()  # columns = scaled basis vectors
-    snf = smith_normal_form(a)
-    left, right, diag = snf.left, snf.right, snf.diag
     rows_out = []
     for v in vectors:
         vi, dv = v.root_scaled()
-        target = []
-        for x in vi:
-            val = x * s
-            if val % dv != 0:
-                return None
-            target.append(val // dv)
-        c = [sum(map(mul, row, target)) for row in left.entries]
-        y = [0] * a.cols
-        for i in range(a.rows):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if c[i] != 0:
-                    return None
-            else:
-                if c[i] % d != 0:
-                    return None
-                if i < a.cols:
-                    y[i] = c[i] // d
-        rows_out.append([sum(map(mul, row, y)) for row in right.entries])
+        solved = ambient._solve_scaled(vi)
+        if solved is None:
+            return None
+        c, t = solved
+        den = dv * t
+        if any(x % den for x in c):
+            return None
+        rows_out.append([x // den for x in c])
     return IntMatrix(rows_out)
 
 
@@ -456,22 +430,22 @@ def saturation(
     """Primitive closure of the span of gens inside lat, plus the index.
 
     The generators must be lattice points of lat and linearly independent
-    over Q; a dependency is rejected together with the offending rational
-    relation.  With U*M*V = D the Smith form of the coordinate matrix, the
-    rows of V^-1 give a basis of the saturation and the product of the
-    invariant factors is the index of the span inside it.
+    over Q; a dependency is rejected together with an integer relation
+    among them.  With U*M*V = D the Smith form of the coordinate matrix, a
+    row of U beyond the rank of M is such a relation; otherwise the rows of
+    V^-1 give a basis of the saturation and the product of the invariant
+    factors is the index of the span inside it.
     """
     if not gens:
         raise ValueError("saturation needs at least one generator")
     m = integral_coords_matrix(lat, gens)
     if m is None:
         raise ValueError(f"some generator is not a lattice point of {lat.name}")
-    kernel = qmat_nullspace(qmat(list(zip(*m.entries))))
-    if kernel:
-        rel = kernel[0]
-        raise ValueError(f"generators are dependent: relation {tuple(map(str, rel))}")
     snf = smith_normal_form(m)
     k = len(gens)
+    rank = sum(1 for d in snf.diag if d)
+    if rank < k:
+        raise ValueError(f"generators are dependent: relation {snf.left.row(rank)}")
     index = 1
     for d in snf.diag:
         index *= d
@@ -499,7 +473,7 @@ def is_primitive(ambient: IntegerLattice, sub: IntegerLattice) -> bool:
     m = integral_coords_matrix(ambient, sub.basis_vectors())
     if m is None:
         raise ValueError(f"{sub.name} is not a sublattice of {ambient.name}")
-    return all(d == 1 for d in smith_diagonal(m))
+    return all(d == 1 for d in smith_normal_form(m).diag)
 
 
 def isometry_from_basis_map(
@@ -512,28 +486,17 @@ def isometry_from_basis_map(
     matrix is invertible over the integers, and it transports the Gram matrix
     of a to the Gram matrix of b exactly.
     """
-    rows = qmat(basis_map)
+    rows, s = _scaled_int_rows(basis_map)
     if a.rank != b.rank:
         raise ValueError("rank mismatch between the two lattices")
     if len(rows) != a.rank or any(len(r) != b.rank for r in rows):
         raise ValueError("basis map must be square of the common rank")
-    if any(x.denominator != 1 for r in rows for x in r):
+    if s != 1:
         return False
-    m = IntMatrix([[x.numerator for x in r] for r in rows])
+    m = IntMatrix(rows)
     if det(m) not in (1, -1):
         return False
     return m.mul(b.gram).mul(m.transpose()) == a.gram
-
-
-def isometry_images_to_map(b: IntegerLattice, images: Sequence[FrameVector]) -> QMatrix:
-    """Basis-map matrix (rows in b's basis coordinates) from image vectors."""
-    rows = []
-    for v in images:
-        c = coords_in(b, v)
-        if c is None:
-            raise ValueError(f"image {v!r} is outside the span of {b.name}")
-        rows.append(c)
-    return qmat(rows)
 
 
 def same_lattice(a: IntegerLattice, b: IntegerLattice) -> bool:
@@ -639,14 +602,10 @@ def lattice_to_json(lat: IntegerLattice) -> dict:
         "frame": None,
     }
     if lat.frame is not None:
-        parent, rows = lat.frame
-        den = 1
-        for r in rows:
-            for x in r:
-                den = lcm(den, x.denominator)
+        parent, rows, den = lat.frame
         data["frame"] = {
             "parent": parent.name,
-            "matrix_num": [[str(int(x * den)) for x in row] for row in rows],
+            "matrix_num": [[str(x) for x in row] for row in rows],
             "matrix_den": str(den),
         }
     return data
@@ -654,17 +613,21 @@ def lattice_to_json(lat: IntegerLattice) -> dict:
 
 def lattice_from_json(data: dict, parent: Optional[IntegerLattice] = None) -> IntegerLattice:
     gram = IntMatrix([[int(x) for x in row] for row in data["gram"]])
-    frame = None
-    if data.get("frame"):
-        if parent is None:
-            raise ValueError("frame present but no parent lattice supplied")
-        fr = data["frame"]
-        if parent.name != fr["parent"]:
-            raise ValueError(f"expected parent {fr['parent']}, got {parent.name}")
-        den = int(fr["matrix_den"])
-        rows = [[Fraction(int(x), den) for x in row] for row in fr["matrix_num"]]
-        frame = (parent, qmat(rows))
-    return IntegerLattice(data["name"], gram, data["basis_names"], frame=frame)
+    fr = data.get("frame")
+    if not fr:
+        return IntegerLattice(data["name"], gram, data["basis_names"])
+    if parent is None:
+        raise ValueError("frame present but no parent lattice supplied")
+    if parent.name != fr["parent"]:
+        raise ValueError(f"expected parent {fr['parent']}, got {parent.name}")
+    den = int(fr["matrix_den"])
+    rows = [[Fraction(int(x), den) for x in row] for row in fr["matrix_num"]]
+    lat = IntegerLattice.framed(data["name"], parent, rows, data["basis_names"])
+    if lat.gram != gram:
+        raise ValueError(
+            f"{lat.name}: Gram matrix does not match the form transported from {parent.name}"
+        )
+    return lat
 
 
 def vector_to_json(v: FrameVector) -> dict:

@@ -28,6 +28,7 @@ from .families import (
     make,
     parse_divisor,
     parse_family,
+    parse_family_syntax,
 )
 from .disc import discriminant_group, group_from_factors
 from .positivity import (
@@ -348,14 +349,7 @@ def _family_spec(f) -> tuple[str, int, Optional[str]]:
     """(kind, parameter, invalid-reason) without rejecting bad parameters."""
     if isinstance(f, NSFamily):
         return f.kind, f.parameter, None
-    text = str(f).strip()
-    import re
-
-    m = re.match(r"^(L'|L|M'|M):(2d'?)=(\d+)$", text)
-    if not m:
-        raise ValueError(f"malformed family {text!r}")
-    kind = m.group(1)
-    parameter = int(m.group(3)) // 2
+    kind, parameter = parse_family_syntax(str(f))
     reason = None
     if kind == KIND_LPRIME and parameter % 2 != 0:
         reason = f"L':2d={2*parameter} requires even d (L^2 = 0 mod 4); d = {parameter} is odd"

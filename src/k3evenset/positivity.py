@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .lattice import FrameVector, IntegerLattice, contains, inner
@@ -94,13 +95,8 @@ def _family_frame(ns: IntegerLattice) -> tuple[IntegerLattice, int]:
 def derive_profile(ns: IntegerLattice) -> RootConstraintProfile:
     """Read the admissible coordinate denominators off the basis matrix."""
     _family_frame(ns)
-    b = ns.basis_in_root()
-    dens = []
-    for col in range(9):
-        den = 1
-        for row in b:
-            den = max(den, row[col].denominator)
-        dens.append(den)
+    b, s = ns.basis_in_root_scaled()
+    dens = [max(s // gcd(x, s) for x in col) for col in zip(*b)]
     return RootConstraintProfile(a_denominator=dens[0], b_denominators=tuple(dens[1:]))
 
 
@@ -206,7 +202,6 @@ def enumerate_obstructing_roots(
     divisor: FrameVector,
     profile: Optional[RootConstraintProfile] = None,
     strict: Optional[bool] = None,
-    jobs: int = 1,
 ) -> list[FrameVector]:
     """Complete list of profile roots C with C^2 = -2 obstructing a divisor.
 
@@ -235,9 +230,8 @@ def enumerate_obstructing_roots(
     a_values, _ = _candidate_a_values(d, p, qs, profile.a_denominator, strict)
     q2 = [int(2 * q) for q in qs]
     dc_cap = -2 if strict else 0
-
-    def scan_a(a: Fraction) -> list[FrameVector]:
-        found = []
+    roots = []
+    for a in a_values:
         a2 = int(2 * a)
         target = d * a2 * a2 + 4  # sum beta^2 with beta = -2b
         dc_base_f = 4 * d * p * a  # 2*(D.C) = 4 d p a + sum (2 q_i) beta_i
@@ -248,24 +242,12 @@ def enumerate_obstructing_roots(
             coords = [a] + [Fraction(-b, 2) for b in beta]
             c = root.vector(coords)
             if contains(ns, c):
-                found.append(c)
-        return found
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(scan_a, a_values))
-    else:
-        chunks = [scan_a(a) for a in a_values]
-    roots = [c for chunk in chunks for c in chunk]
+                roots.append(c)
     roots.sort(key=lambda c: c.root_coords())
     return roots
 
 
-def classify_positivity(
-    ns: IntegerLattice, divisor: FrameVector, jobs: int = 1
-) -> PositivityReport:
+def classify_positivity(ns: IntegerLattice, divisor: FrameVector) -> PositivityReport:
     """Certify a divisor as ample / pseudo ample / nef / not nef."""
     root, d = _family_frame(ns)
     if not contains(ns, divisor):
@@ -282,7 +264,7 @@ def classify_positivity(
         v = inner(divisor, n_i)
         if v <= 0:
             obstructors.append((n_i, v))
-    for c in enumerate_obstructing_roots(ns, divisor, profile, strict=strict, jobs=jobs):
+    for c in enumerate_obstructing_roots(ns, divisor, profile, strict=strict):
         obstructors.append((c, inner(divisor, c)))
     negative = [c for c, v in obstructors if v < 0]
     orthogonal = [c for c, v in obstructors if v == 0]
@@ -341,7 +323,8 @@ def isotropic_classes(
     """Isotropic classes E with x > 0, y_i <= 0, E in ns and E.D in dots.
 
     Complete for divisors of positive square (the bound degenerates on the
-    isotropic boundary, where such families are genuinely infinite).
+    isotropic boundary, where such families are genuinely infinite) and
+    positive L-coefficient (with p <= 0 the grid check never fails).
     """
     root, d = _family_frame(ns)
     d2 = inner(divisor, divisor)
@@ -353,6 +336,8 @@ def isotropic_classes(
     t = dots[-1]
     profile = derive_profile(ns)
     p, qs = _split_divisor(root, divisor)
+    if p <= 0:
+        raise ValueError("isotropic search requires a divisor with positive L-coefficient")
     qq = sum(q * q for q in qs)
     # feasible region: {2 d p x <= t} union {(2 d p x - t)^2 <= 4 Q d x^2},
     # Q = sum q_i^2; d^2 p^2 - d Q = d D^2 / 2 > 0 makes it an initial segment
@@ -363,18 +348,9 @@ def isotropic_classes(
             return True
         return lhs * lhs <= 4 * qq * d * x * x
 
-    xs = []
-    k = 1
-    while True:
-        x = Fraction(k, profile.a_denominator)
-        if check(x):
-            xs.append(x)
-        else:
-            break
-        k += 1
     q2 = [int(2 * q) for q in qs]
     out = []
-    for x in xs:
+    for x in _grid_values(check, profile.a_denominator):
         x2 = int(2 * x)
         target = d * x2 * x2  # sum beta^2 = 4 d x^2 for E^2 = 0
         dc_base = int(4 * d * p * x)

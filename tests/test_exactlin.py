@@ -9,7 +9,6 @@ from k3evenset.exactlin import (
     det,
     row_hnf,
     signature,
-    smith_diagonal,
     smith_normal_form,
     solve_integral,
     unimodular_inverse,
@@ -82,7 +81,6 @@ def test_snf_transforms_on_random_matrices():
         for i in range(len(snf.diag) - 1):
             if snf.diag[i]:
                 assert snf.diag[i + 1] % snf.diag[i] == 0
-        assert smith_diagonal(m) == snf.diag
 
 
 def test_snf_rectangular():

@@ -107,10 +107,6 @@ def test_admissible_glue_counts(d, count):
     assert sorted(g.support for cls in classes for g in cls) == sorted(brute_force_glues(d))
 
 
-def test_admissible_glues_deterministic_and_parallel():
-    assert admissible_glues(4) == admissible_glues(4, jobs=4)
-
-
 def test_glue_sizes_per_parity():
     sizes = {len(g.support) for cls in admissible_glues(2) for g in cls}
     assert sizes == {2, 6}

@@ -228,3 +228,11 @@ def test_json_requires_parent_for_framed():
     data = lattice_to_json(ns)
     with pytest.raises(ValueError):
         lattice_from_json(data)
+
+
+def test_json_rejects_gram_mismatch():
+    ns = make("L':2d=8")
+    data = lattice_to_json(ns)
+    data["gram"][0][0] = str(int(data["gram"][0][0]) + 2)
+    with pytest.raises(ValueError, match="does not match"):
+        lattice_from_json(data, parent=ns.root())

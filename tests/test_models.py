@@ -203,3 +203,11 @@ def test_descriptor_json_shape():
 def test_partner_family_of_invalid_parse():
     with pytest.raises(ValueError):
         families_distinct("L:2d", "M:2d'=4")
+
+
+@pytest.mark.parametrize("bad", ["L:2d=7", "M:2d=4", "L:2d=0"])
+def test_families_distinct_rejects_what_parse_family_rejects(bad):
+    with pytest.raises(ValueError):
+        families_distinct(bad, "L:2d=6")
+    with pytest.raises(ValueError):
+        families_distinct("L:2d=6", bad)

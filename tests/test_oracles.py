@@ -27,22 +27,35 @@ def plain_solve(a, b, radius):
 
 def test_brute_solve_matches_plain_scan():
     rng = random.Random(20061121)
-    solved = zero_last = 0
+    solved = zero_last = zero_middle = all_zero = 0
     for trial in range(3000):
         rows, cols = rng.randint(1, 3), rng.randint(1, 3)
         radius = rng.randint(0, 4)
         entries = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        zero_cols = ()
         if trial % 5 == 0:
-            for row in entries:
-                row[-1] = 0
+            zero_cols = (cols - 1,)
+        elif trial % 5 == 1 and cols == 3:
+            zero_cols = (1,)
+        elif trial % 25 == 2:
+            zero_cols = range(cols)
+        for row in entries:
+            for j in zero_cols:
+                row[j] = 0
         if all(row[-1] == 0 for row in entries):
             zero_last += 1
+        if cols == 3 and all(row[1] == 0 for row in entries):
+            zero_middle += 1
+        if not any(map(any, entries)):
+            all_zero += 1
         a = IntMatrix(entries)
         b = [rng.randint(-6, 6) for _ in range(rows)]
+        if trial % 50 == 2:  # half of the all-zero systems are homogeneous
+            b = [0] * rows
         got = _brute_solve(a, b, radius)
         assert got == plain_solve(a, b, radius), (entries, b, radius)
         solved += got is not None
-    assert solved > 500 and zero_last > 500
+    assert solved > 500 and zero_last > 500 and zero_middle > 150 and all_zero > 100
 
 
 @lru_cache(maxsize=None)

@@ -148,11 +148,6 @@ def test_enumerate_rejects_divisor_outside_lattice():
         enumerate_obstructing_roots(ns, half)
 
 
-def test_enumerate_jobs_deterministic():
-    ns, dv = divisor("L':2d=8", "L-Nhat")
-    assert enumerate_obstructing_roots(ns, dv, jobs=4) == enumerate_obstructing_roots(ns, dv)
-
-
 def test_even_set_on_l_families():
     for label in ("L:2d=4", "L:2d=6", "L':2d=8"):
         ns = make(label)
@@ -339,3 +334,11 @@ def test_report_json_shape():
     assert data["exhaustive"] is True
     assert "a_max" in data and "/" in data["a_max"]
     assert data["assumptions"]
+
+
+@pytest.mark.parametrize("text", ["-L", "-2L+N1"])
+def test_isotropic_classes_rejects_nonpositive_l_coefficient(text):
+    ns = make("L:2d=6")
+    dv = parse_divisor(ns, text)
+    with pytest.raises(ValueError, match="positive L-coefficient"):
+        isotropic_classes(ns, dv, [2])
