@@ -533,4 +533,6 @@ CRITERIA = [
 
 
 def run_all(dmax: int = 12) -> list[CriterionResult]:
+    if dmax < 1:
+        raise ValueError(f"dmax must be a positive integer, got {dmax}")
     return [c(dmax) for c in CRITERIA]

@@ -30,6 +30,15 @@ class MultiProjSpace:
     def label(self) -> str:
         return "x".join(f"P{n}" for n in self.dims)
 
+    def surface_check(self, count: int) -> None:
+        """Raise unless count hypersurfaces cut a surface out of this space."""
+        expected = self.total_dim - 2
+        if count != expected:
+            raise ValueError(
+                f"{count} hypersurfaces cut codimension {count} in {self.label()}; "
+                f"a surface needs {expected}"
+            )
+
 
 @dataclass(frozen=True)
 class CompleteIntersection:
@@ -47,12 +56,7 @@ class CompleteIntersection:
                 raise ValueError("a hypersurface cannot have multidegree zero")
 
     def codimension_check(self):
-        expected = self.space.total_dim - 2
-        if len(self.multidegrees) != expected:
-            raise ValueError(
-                f"{len(self.multidegrees)} hypersurfaces cut codimension "
-                f"{len(self.multidegrees)} in {self.space.label()}; a surface needs {expected}"
-            )
+        self.space.surface_check(len(self.multidegrees))
 
     def label(self) -> str:
         degs = "+".join("(" + ",".join(map(str, d)) + ")" for d in self.multidegrees)
@@ -151,14 +155,18 @@ _DEG_RE = re.compile(r"\(([0-9,\s]+)\)(?:\^(\d+))?")
 
 
 def parse_ci(text: str) -> CompleteIntersection:
-    """Parse the CLI grammar, e.g. "P4xP2: (2,0)+(1,1)^3"."""
+    """Parse the CLI grammar, e.g. "P4xP2: (2,0)+(1,1)^3".
+
+    Each multidegree and then the summed repetition count are checked
+    before the repeated multidegrees are built.
+    """
     m = _CI_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse complete intersection {text!r}")
     dims = tuple(int(p[1:]) for p in m.group(1).split("x"))
     space = MultiProjSpace(dims)
     rest = m.group(2).replace(" ", "")
-    degs: list[tuple[int, ...]] = []
+    parts: list[tuple[tuple[int, ...], int]] = []
     pos = 0
     first = True
     while pos < len(rest):
@@ -170,13 +178,15 @@ def parse_ci(text: str) -> CompleteIntersection:
         if not dm:
             raise ValueError(f"cannot parse multidegree at position {pos} in {text!r}")
         tup = tuple(int(x) for x in dm.group(1).replace(" ", "").split(",") if x != "")
-        rep = int(dm.group(2)) if dm.group(2) else 1
-        degs.extend([tup] * rep)
+        parts.append((tup, int(dm.group(2)) if dm.group(2) else 1))
         pos = dm.end()
         first = False
-    if not degs:
+    count = sum(rep for _, rep in parts)
+    if not count:
         raise ValueError(f"no multidegrees in {text!r}")
-    return CompleteIntersection(space, tuple(degs))
+    CompleteIntersection(space, tuple(tup for tup, rep in parts if rep))
+    space.surface_check(count)
+    return CompleteIntersection(space, tuple(tup for tup, rep in parts for _ in range(rep)))
 
 
 def random_k3_ci(rng, max_factors: int = 3, max_dim: int = 4) -> CompleteIntersection | None:

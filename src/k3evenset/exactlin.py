@@ -57,10 +57,6 @@ class IntMatrix:
         return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix([[0] * cols for _ in range(rows)])
-
-    @staticmethod
     def diagonal(diag: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
         n = len(diag)
         rows = n if rows is None else rows
@@ -71,9 +67,6 @@ class IntMatrix:
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(zip(*self.entries))

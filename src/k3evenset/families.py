@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Union
+from typing import Union
 
 from .exactlin import IntMatrix, det, row_hnf
 from .lattice import (
@@ -30,6 +30,7 @@ from .lattice import (
     IntegerLattice,
     coords_in,
     inner,
+    is_primitive,
     same_lattice,
 )
 
@@ -95,15 +96,18 @@ def nikulin_lattice() -> IntegerLattice:
     return _nikulin_in_split(split, offset=0)
 
 
+_N_NAMES = tuple(f"N{i}" for i in range(1, 8)) + ("Nhat",)
+
+
+def _nikulin_rows(dim: int, offset: int) -> list[list[int]]:
+    """2 * (N1, ..., N7, Nhat) in a split frame whose N-columns start at `offset`."""
+    rows = [[2 if j == offset + i else 0 for j in range(dim)] for i in range(7)]
+    return rows + [[1 if offset <= j < offset + 8 else 0 for j in range(dim)]]
+
+
 def _nikulin_in_split(split: IntegerLattice, offset: int) -> IntegerLattice:
     """N framed in a split frame whose N-columns start at `offset`."""
-    dim = split.rank
-    rows = []
-    for i in range(7):
-        rows.append([1 if j == offset + i else 0 for j in range(dim)])
-    rows.append([HALF if offset <= j < offset + 8 else 0 for j in range(dim)])
-    names = tuple(f"N{i}" for i in range(1, 8)) + ("Nhat",)
-    return IntegerLattice.framed("N", split, rows, names)
+    return IntegerLattice.framed("N", split, _nikulin_rows(split.rank, offset), _N_NAMES, s=2)
 
 
 # --- family descriptors ------------------------------------------------------
@@ -136,13 +140,6 @@ class NSFamily:
             raise ValueError(
                 f"M':2d'={2 * self.parameter} violates its parity constraint: M^2 = 0 mod 4 required"
             )
-
-    @property
-    def glue_flavor(self) -> Optional[str]:
-        """'pair' when 2d = 4 mod 8, 'quadruple' when 2d = 0 mod 8."""
-        if self.kind != KIND_LPRIME:
-            return None
-        return "pair" if (2 * self.parameter) % 8 == 4 else "quadruple"
 
     def label(self) -> str:
         if self.kind in (KIND_L, KIND_LPRIME):
@@ -224,24 +221,16 @@ def canonical_glue_support(d: int) -> tuple[int, ...]:
 
 def _l_family(d: int) -> IntegerLattice:
     root = split_root_l(d)
-    rows = [[1] + [0] * 8]
-    for i in range(7):
-        rows.append([0] + [1 if j == i else 0 for j in range(8)])
-    rows.append([0] + [HALF] * 8)
-    names = ("L",) + tuple(f"N{i}" for i in range(1, 8)) + ("Nhat",)
-    return IntegerLattice.framed(f"L:2d={2 * d}", root, rows, names)
+    rows = [[2] + [0] * 8] + _nikulin_rows(9, 1)
+    return IntegerLattice.framed(f"L:2d={2 * d}", root, rows, ("L",) + _N_NAMES, s=2)
 
 
 def _lprime_family(d: int) -> IntegerLattice:
     support = canonical_glue_support(d)
     root = split_root_l(d)
-    glue_row = [HALF] + [-HALF if (i + 1) in support else Fraction(0) for i in range(8)]
-    rows = [glue_row]
-    for i in range(7):
-        rows.append([0] + [1 if j == i else 0 for j in range(8)])
-    rows.append([0] + [HALF] * 8)
-    names = ("g",) + tuple(f"N{i}" for i in range(1, 8)) + ("Nhat",)
-    return IntegerLattice.framed(f"L':2d={2 * d}", root, rows, names)
+    glue_row = [1] + [-1 if (i + 1) in support else 0 for i in range(8)]
+    rows = [glue_row] + _nikulin_rows(9, 1)
+    return IntegerLattice.framed(f"L':2d={2 * d}", root, rows, ("g",) + _N_NAMES, s=2)
 
 
 def _m_family(dprime: int) -> IntegerLattice:
@@ -260,12 +249,12 @@ def mprime_glue_indices(dprime: int) -> tuple[int, ...]:
 def _mprime_family(dprime: int) -> IntegerLattice:
     root = split_root_m(dprime)
     idx = mprime_glue_indices(dprime)
-    glue_row = [HALF] + [-HALF if (i + 1) in idx else Fraction(0) for i in range(8)]
+    glue_row = [1] + [-1 if (i + 1) in idx else 0 for i in range(8)]
     rows = [glue_row]
     for i in range(8):
-        rows.append([0] + [1 if j == i else 0 for j in range(8)])
+        rows.append([0] + [2 if j == i else 0 for j in range(8)])
     names = ("gM",) + tuple(f"e{i}" for i in range(1, 9))
-    return IntegerLattice.framed(f"M':2d'={2 * dprime}", root, rows, names)
+    return IntegerLattice.framed(f"M':2d'={2 * dprime}", root, rows, names, s=2)
 
 
 _NAMED = {
@@ -346,9 +335,7 @@ class GlueVector:
 
     def glue_class(self, root: IntegerLattice) -> FrameVector:
         """The adjoined class (L + v)/2 in the split root frame."""
-        return root.vector(
-            [HALF] + [HALF if i in self.support else Fraction(0) for i in range(1, 9)]
-        )
+        return FrameVector(root, [1] + [1 if i in self.support else 0 for i in range(1, 9)], 2)
 
 
 def glue_admissible(d: int, glue: GlueVector) -> bool:
@@ -359,20 +346,20 @@ def glue_admissible(d: int, glue: GlueVector) -> bool:
     return (2 * d) % 8 == (2 * size) % 8
 
 
-def validate_glue(base: IntegerLattice, glue: FrameVector) -> None:
+def validate_glue(base: IntegerLattice, glue: FrameVector) -> tuple[int, ...]:
     """Admissibility of a glue class by direct pairing checks (no construction).
 
     Raises with the specific failure: glue already inside, 2*glue outside,
-    a non-integral pairing, or an odd adjoined square.
+    a non-integral pairing, or an odd adjoined square.  Returns the integer
+    coordinates of 2*glue in base's basis.
     """
-    from .lattice import contains_multiple
-
-    if contains_multiple(base, glue, 1):
-        raise ValueError("glue already in lattice")
-    if not contains_multiple(base, glue, 2):
-        if coords_in(base, glue) is None:
+    doubled = coords_in(base, glue, 2)
+    if doubled is None:
+        if base._solve_scaled(glue.root_scaled()[0]) is None:
             raise ValueError("glue vector is outside the rational span of the lattice")
         raise ValueError("2 * glue must lie in the lattice")
+    if not any(c % 2 for c in doubled):
+        raise ValueError("glue already in lattice")
     for i, b in enumerate(base.basis_vectors()):
         p = inner(glue, b)
         if p.denominator != 1:
@@ -382,6 +369,7 @@ def validate_glue(base: IntegerLattice, glue: FrameVector) -> None:
     sq = inner(glue, glue)
     if sq.denominator != 1 or sq.numerator % 2 != 0:
         raise ValueError(f"evenness failure: adjoined square {sq} is not in 2Z")
+    return doubled
 
 
 def admissible_glues(d: int) -> list[list[GlueVector]]:
@@ -430,20 +418,18 @@ def overlattice(base: IntegerLattice, glue: FrameVector) -> IntegerLattice:
     Requires glue outside base, 2*glue inside base, integral pairings with
     all of base and even square.  The result is framed in base.
     """
-    validate_glue(base, glue)
-    c = coords_in(base, glue)
+    doubled = validate_glue(base, glue)
     # basis of base + Z*glue via Hermite reduction of doubled coordinates
     int_rows = [[2 if i == j else 0 for j in range(base.rank)] for i in range(base.rank)]
-    int_rows.append([int(2 * f) for f in c])
+    int_rows.append(doubled)
     basis_rows = row_hnf(int_rows)
     if len(basis_rows) != base.rank:
         raise ValueError("overlattice construction lost rank")
     if abs(det(IntMatrix(basis_rows))) != 2 ** (base.rank - 1):
         raise RuntimeError("overlattice does not have index two over its base")
-    rows = [[Fraction(x, 2) for x in row] for row in basis_rows]
     name = f"{base.name}+glue"
     return IntegerLattice.framed(
-        name, base, rows, [f"o{i+1}" for i in range(base.rank)], even=base.even
+        name, base, basis_rows, [f"o{i+1}" for i in range(base.rank)], even=base.even, s=2
     )
 
 
@@ -493,15 +479,12 @@ def _support_permutation(src: frozenset[int], dst: frozenset[int]) -> dict[int, 
 
 def _permute_n_columns(lat: IntegerLattice, sigma: dict[int, int]) -> IntegerLattice:
     """Image of an L-split-framed lattice under a permutation of the N_i."""
-    root = lat.root()
-    rows = []
-    for i in range(lat.rank):
-        rc = lat.basis_vector(i).root_coords()
-        out = list(rc)
-        for a, b in sigma.items():
-            out[b] = rc[a]
-        rows.append(out)
-    return IntegerLattice.framed(f"{lat.name}^sigma", root, rows, lat.basis_names, even=lat.even)
+    scaled, s = lat.basis_in_root_scaled()
+    source = {b: a for a, b in sigma.items()}
+    rows = [[rc[source.get(j, j)] for j in range(len(rc))] for rc in scaled]
+    return IntegerLattice.framed(
+        f"{lat.name}^sigma", lat.root(), rows, lat.basis_names, even=lat.even, s=s
+    )
 
 
 # --- explicit embeddings into the K3 lattice ---------------------------------
@@ -560,18 +543,16 @@ def k3_embedding(family: NSFamily) -> K3EmbeddingRecord:
     glue = (m_vec + v_vec) / 2
     m_sq = inner(m_vec, m_vec)
     assert m_sq == 4 * n, f"M^2 = {m_sq}, expected {4 * n}"
-    rows = [glue.root_coords()]
-    anti = anti_diagonal_e8(k3)
-    for i in range(8):
-        rows.append(anti.basis_vector(i).root_coords())
+    glue_row, sg = glue.root_scaled()
+    anti_rows, sa = anti_diagonal_e8(k3).basis_in_root_scaled()
+    rows = [[sa * x for x in glue_row]] + [[sg * x for x in r] for r in anti_rows]
     ns_copy = IntegerLattice.framed(
         f"{family.label()}^K3",
         k3,
         rows,
         ("gM",) + tuple(f"w{i}" for i in range(1, 9)),
+        s=sg * sa,
     )
-    from .lattice import is_primitive
-
     prim = is_primitive(k3, ns_copy)
     return K3EmbeddingRecord(
         family=family,
@@ -589,12 +570,6 @@ def k3_embedding(family: NSFamily) -> K3EmbeddingRecord:
 # --- divisor expressions ------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*([+-]?)\s*(\d*)\s*\*?\s*(L1|L2|Nhat|L|N[1-8]|M|e[1-8])")
-
-
-def named_divisor(family: NSFamily, name: str) -> FrameVector:
-    """Resolve the polarization names used by the model table."""
-    ns = make(family)
-    return parse_divisor(ns, name)
 
 
 def parse_divisor(ns: IntegerLattice, text: str) -> FrameVector:
@@ -666,12 +641,6 @@ def _symbol_coeffs(family: NSFamily, sym: str) -> list[Fraction]:
             out[i] = -HALF
         return out
     raise ValueError(f"unknown divisor symbol {sym}")
-
-
-def l1_l2(family: NSFamily) -> tuple[FrameVector, FrameVector]:
-    """The half-polarizations L1, L2 of an L' family."""
-    ns = make(family)
-    return parse_divisor(ns, "L1"), parse_divisor(ns, "L2")
 
 
 def canonical_octet(ns: IntegerLattice) -> list[FrameVector]:

@@ -6,16 +6,19 @@ denominator s, so that row i divided by s expresses basis vector i in the
 parent's coordinates.  All derived lattices of a construction (sublattices,
 index-two overlattices, family members) live in one root frame, so
 statements such as "(L - N1 - N2)/2 lies in L'_4 but not in L_4" are decided
-by exact coordinate arithmetic and never by convention.  Membership and
-coordinates come from one integer Smith solver per lattice; Fraction appears
-only at the vector interface.
+by exact coordinate arithmetic and never by convention.  A vector is integer
+numerators over one denominator, and every coordinate and membership answer
+comes from `coords_in`, which reads one integer Smith solver per lattice.
+Fraction appears only in `vector()` input, in the values of `inner` and in
+the display and sort accessors `coords()` and `root_coords()`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import (
@@ -61,26 +64,33 @@ class IntegerLattice:
     def framed(
         name: str,
         parent: "IntegerLattice",
-        rows: Iterable[Iterable],
+        rows: Iterable[Iterable[int]],
         basis_names: Sequence[str],
         even: bool = True,
+        s: int = 1,
     ) -> "IntegerLattice":
-        """Build a lattice from basis rows in the parent's coordinates.
+        """Build a lattice whose basis vector i is rows[i] / s in the parent.
 
-        Entries may be anything Fraction accepts; they are read once into
-        integer rows over their least common denominator.  The Gram matrix
-        is transported from the parent and must come out integral (and even
-        unless flagged otherwise).
+        The rows hold integers; rows and s are reduced by their common gcd,
+        so the stored frame keeps the least common denominator.  The Gram
+        matrix is transported from the parent and must come out integral
+        (and even unless flagged otherwise).
         """
-        ints, s = _scaled_int_rows(rows)
+        if s <= 0:
+            raise ValueError(f"{name}: frame denominator must be positive")
+        ints = [tuple(map(index, r)) for r in rows]
         if any(len(r) != parent.rank for r in ints):
             raise ValueError(f"{name}: frame matrix has wrong shape")
+        g = gcd(s, *chain.from_iterable(ints))
+        if g > 1:
+            ints = [tuple(x // g for x in r) for r in ints]
+            s //= g
         try:
             gram = _transport_gram(ints, s, parent.gram)
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
         lat = IntegerLattice(name, gram, basis_names, even=even)
-        lat.frame = (parent, ints, s)
+        lat.frame = (parent, tuple(ints), s)
         return lat
 
     def __repr__(self):
@@ -161,7 +171,12 @@ class IntegerLattice:
 
     def vector(self, coords: Iterable) -> "FrameVector":
         """Vector with the given rational coordinates in this lattice's basis."""
-        return FrameVector.from_coords(self, coords)
+        coords = list(coords)
+        if all(isinstance(x, int) for x in coords):
+            return FrameVector(self, coords, 1)
+        fracs = [Fraction(x) for x in coords]
+        den = lcm(*(f.denominator for f in fracs))
+        return FrameVector(self, [f.numerator * (den // f.denominator) for f in fracs], den)
 
     def basis_vector(self, i: int) -> "FrameVector":
         return self.basis_vectors()[i]
@@ -179,20 +194,6 @@ class IntegerLattice:
 
     def signature(self):
         return signature(self.gram)
-
-    def coords_from_root(self, root_coords: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
-        """Coordinates in this basis of a root-frame vector, or None if off-span."""
-        fracs = [Fraction(x) for x in root_coords]
-        if len(fracs) != len(self.basis_in_root_scaled()[0][0]):
-            raise ValueError("root coordinate length mismatch")
-        den = 1
-        for f in fracs:
-            den = lcm(den, f.denominator)
-        solved = self._solve_scaled([f.numerator * (den // f.denominator) for f in fracs])
-        if solved is None:
-            return None
-        c, t = solved
-        return tuple(Fraction(x, den * t) for x in c)
 
 
 class FrameVector:
@@ -216,15 +217,6 @@ class FrameVector:
         self.numerators = tuple(int(n) for n in numerators)
         self.denominator = int(denominator)
         self._root_scaled_cache = None
-
-    @staticmethod
-    def from_coords(lattice: IntegerLattice, coords: Iterable) -> "FrameVector":
-        fracs = [Fraction(x) for x in coords]
-        den = 1
-        for f in fracs:
-            den = lcm(den, f.denominator)
-        nums = [int(f * den) for f in fracs]
-        return FrameVector(lattice, nums, den)
 
     def coords(self) -> tuple[Fraction, ...]:
         d = self.denominator
@@ -250,25 +242,25 @@ class FrameVector:
     def root(self) -> IntegerLattice:
         return self.lattice.root()
 
-    def is_integral(self) -> bool:
-        return self.denominator == 1
-
     def __add__(self, other: "FrameVector") -> "FrameVector":
-        a, b, lat = _coerce_pair(self, other)
-        return FrameVector.from_coords(lat, [x + y for x, y in zip(a, b)])
+        return _combine(self, other, 1)
 
     def __sub__(self, other: "FrameVector") -> "FrameVector":
-        a, b, lat = _coerce_pair(self, other)
-        return FrameVector.from_coords(lat, [x - y for x, y in zip(a, b)])
+        return _combine(self, other, -1)
 
     def __mul__(self, scalar) -> "FrameVector":
-        s = Fraction(scalar)
-        return FrameVector.from_coords(self.lattice, [c * s for c in self.coords()])
+        num, den = _ratio(scalar)
+        return FrameVector(self.lattice, [n * num for n in self.numerators], self.denominator * den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "FrameVector":
-        return self * (Fraction(1) / Fraction(scalar))
+        num, den = _ratio(scalar)
+        if num == 0:
+            raise ZeroDivisionError("division of a vector by zero")
+        if num < 0:
+            num, den = -num, -den
+        return FrameVector(self.lattice, [n * den for n in self.numerators], self.denominator * num)
 
     def __neg__(self) -> "FrameVector":
         return self * -1
@@ -298,24 +290,27 @@ class FrameVector:
         return f"<{body} in {self.lattice.name}>"
 
 
-def _coerce_pair(x: FrameVector, y: FrameVector):
+def _combine(x: FrameVector, y: FrameVector, sign: int) -> FrameVector:
+    """x + sign * y over the integers, in x's basis or else in the root frame."""
     if x.lattice is y.lattice:
-        return x.coords(), y.coords(), x.lattice
-    if not frames_compatible(x.lattice, y.lattice):
+        lat, a, da, b, db = x.lattice, x.numerators, x.denominator, y.numerators, y.denominator
+    elif frames_compatible(x.lattice, y.lattice):
+        lat = x.root()
+        a, da = x.root_scaled()
+        b, db = y.root_scaled()
+    else:
         raise ValueError(
             f"vectors live in incompatible frames ({x.lattice.name} vs {y.lattice.name})"
         )
-    return x.root_coords(), y.root_coords(), x.root()
+    return FrameVector(lat, [p * db + sign * q * da for p, q in zip(a, b)], da * db)
 
 
-def _scaled_int_rows(rows: Iterable[Iterable]) -> tuple[IntRows, int]:
-    """(s * rows as integers, s) for the least common denominator s."""
-    fracs = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in r] for r in rows]
-    s = 1
-    for r in fracs:
-        for x in r:
-            s = lcm(s, x.denominator)
-    return tuple(tuple(x.numerator * (s // x.denominator) for x in r) for r in fracs), s
+def _ratio(scalar) -> tuple[int, int]:
+    """(numerator, denominator) of an exact scalar; integers stay integers."""
+    if isinstance(scalar, int):
+        return scalar, 1
+    f = Fraction(scalar)
+    return f.numerator, f.denominator
 
 
 def _transport_gram(b: IntRows, s: int, parent_gram: IntMatrix) -> IntMatrix:
@@ -368,17 +363,9 @@ def norm(x: FrameVector) -> Fraction:
     return inner(x, x)
 
 
-def coords_in(lat: IntegerLattice, x: FrameVector) -> Optional[tuple[Fraction, ...]]:
-    """Coordinates of x in lat's basis, or None when x is off lat's span."""
-    if not frames_compatible(lat, x.lattice):
-        raise ValueError(
-            f"vector in frame {x.lattice.root().name} cannot be read in {lat.root().name}"
-        )
-    return lat.coords_from_root(x.root_coords())
-
-
-def contains_multiple(lat: IntegerLattice, x: FrameVector, k: int = 1) -> bool:
-    """True iff k*x is an integral combination of lat's basis."""
+def coords_in(lat: IntegerLattice, x: FrameVector, k: int = 1) -> Optional[tuple[int, ...]]:
+    """Integer coordinates of k*x in lat's basis, or None when k*x is not a
+    lattice point of lat."""
     if not frames_compatible(lat, x.lattice):
         raise ValueError(
             f"vector in frame {x.lattice.root().name} cannot be read in {lat.root().name}"
@@ -386,10 +373,17 @@ def contains_multiple(lat: IntegerLattice, x: FrameVector, k: int = 1) -> bool:
     xi, dx = x.root_scaled()
     solved = lat._solve_scaled(xi)
     if solved is None:
-        return False
+        return None
     c, t = solved
     den = dx * t
-    return all(k * v % den == 0 for v in c)
+    if any(k * v % den for v in c):
+        return None
+    return tuple(k * v // den for v in c)
+
+
+def contains_multiple(lat: IntegerLattice, x: FrameVector, k: int = 1) -> bool:
+    """True iff k*x is an integral combination of lat's basis."""
+    return coords_in(lat, x, k) is not None
 
 
 def contains(lat: IntegerLattice, x: FrameVector) -> bool:
@@ -400,28 +394,11 @@ def contains(lat: IntegerLattice, x: FrameVector) -> bool:
 def integral_coords_matrix(
     ambient: IntegerLattice, vectors: Sequence[FrameVector]
 ) -> Optional[IntMatrix]:
-    """Integer coordinates of vectors in ambient's basis, or None.
-
-    All solves share ambient's cached Smith solver, so the whole computation
-    stays in integer arithmetic.
-    """
+    """Integer coordinates of vectors in ambient's basis, or None."""
     if not vectors:
         raise ValueError("need at least one vector")
-    for v in vectors:
-        if not frames_compatible(ambient, v.lattice):
-            raise ValueError("vector frame incompatible with the ambient lattice")
-    rows_out = []
-    for v in vectors:
-        vi, dv = v.root_scaled()
-        solved = ambient._solve_scaled(vi)
-        if solved is None:
-            return None
-        c, t = solved
-        den = dv * t
-        if any(x % den for x in c):
-            return None
-        rows_out.append([x // den for x in c])
-    return IntMatrix(rows_out)
+    rows = [coords_in(ambient, v) for v in vectors]
+    return None if None in rows else IntMatrix(rows)
 
 
 def saturation(
@@ -486,12 +463,12 @@ def isometry_from_basis_map(
     matrix is invertible over the integers, and it transports the Gram matrix
     of a to the Gram matrix of b exactly.
     """
-    rows, s = _scaled_int_rows(basis_map)
+    rows = [list(r) for r in basis_map]
     if a.rank != b.rank:
         raise ValueError("rank mismatch between the two lattices")
     if len(rows) != a.rank or any(len(r) != b.rank for r in rows):
         raise ValueError("basis map must be square of the common rank")
-    if s != 1:
+    if any(x != int(x) for r in rows for x in r):
         return False
     m = IntMatrix(rows)
     if det(m) not in (1, -1):
@@ -520,12 +497,9 @@ def same_lattice(a: IntegerLattice, b: IntegerLattice) -> bool:
 def content(lat: IntegerLattice, x: FrameVector) -> int:
     """Largest k >= 1 with x/k still a lattice point of lat (x must be in lat)."""
     c = coords_in(lat, x)
-    if c is None or any(f.denominator != 1 for f in c):
+    if c is None:
         raise ValueError(f"{x!r} is not a lattice point of {lat.name}")
-    g = 0
-    for f in c:
-        g = gcd(g, f.numerator)
-    return g
+    return gcd(*c)
 
 
 # --- short vector enumeration (negative definite forms) ------------------
@@ -620,9 +594,10 @@ def lattice_from_json(data: dict, parent: Optional[IntegerLattice] = None) -> In
         raise ValueError("frame present but no parent lattice supplied")
     if parent.name != fr["parent"]:
         raise ValueError(f"expected parent {fr['parent']}, got {parent.name}")
-    den = int(fr["matrix_den"])
-    rows = [[Fraction(int(x), den) for x in row] for row in fr["matrix_num"]]
-    lat = IntegerLattice.framed(data["name"], parent, rows, data["basis_names"])
+    rows = [[int(x) for x in row] for row in fr["matrix_num"]]
+    lat = IntegerLattice.framed(
+        data["name"], parent, rows, data["basis_names"], s=int(fr["matrix_den"])
+    )
     if lat.gram != gram:
         raise ValueError(
             f"{lat.name}: Gram matrix does not match the form transported from {parent.name}"

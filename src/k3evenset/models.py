@@ -465,12 +465,6 @@ def sufficient_condition_lattices() -> list[ConfigurationResult]:
     explicit basis map into the claimed family, checked exactly.
     """
     out = []
-    half = "1/2"
-
-    def frac(x):
-        from fractions import Fraction
-
-        return Fraction(x)
 
     # 1. double cover of a cone branched in a conic and a sextic -> L':2d=4
     names = ("E'", "G0", "G1", "G2", "G3", "G4", "G5", "G6", "C2")
@@ -578,13 +572,14 @@ def sufficient_condition_lattices() -> list[ConfigurationResult]:
                 sq, sq, prod, lambda i: 0 if i <= 4 else 2, lambda i: 2 if i <= 4 else 0
             ),
         )
-        # adjoin the even-set class delta = (A2 - A1)/2 + R1 + R2 + R3 + R4
-        delta = [frac("-1/2"), frac(half), 1, 1, 1, 1, 0, 0, 0]
-        basis_rows = [delta, [1] + [0] * 8]
+        # adjoin the even-set class delta = (A2 - A1)/2 + R1 + R2 + R3 + R4,
+        # all rows doubled over the frame denominator 2
+        delta = [-1, 1, 2, 2, 2, 2, 0, 0, 0]
+        basis_rows = [delta, [2] + [0] * 8]
         for i in range(7):
-            basis_rows.append([0, 0] + [1 if j == i else 0 for j in range(7)])
+            basis_rows.append([0, 0] + [2 if j == i else 0 for j in range(7)])
         cfg = IntegerLattice.framed(
-            name, raw, basis_rows, ("delta", "A1") + tuple(f"R{i}" for i in range(1, 8))
+            name, raw, basis_rows, ("delta", "A1") + tuple(f"R{i}" for i in range(1, 8)), s=2
         )
         # delta -> Nhat, A1 -> L + N1 + N2 + N3 + N4 - 2 Nhat, Ri -> Ni
         rows = [[0] * 8 + [1], [1, 1, 1, 1, 1, 0, 0, 0, -2]]

@@ -82,14 +82,14 @@ class PositivityReport:
         }
 
 
-def _family_frame(ns: IntegerLattice) -> tuple[IntegerLattice, int]:
+def _family_frame(ns: IntegerLattice) -> int:
+    """d = L^2 / 2 of the L-type split frame ns lives in."""
     root = ns.root()
     if not root.name.startswith("Lsplit") or root.rank != 9:
         raise ValueError(
             f"{ns.name}: root search bounds are family-specific; expected an L-type split frame"
         )
-    d2 = root.gram[0, 0]
-    return root, d2 // 2
+    return root.gram[0, 0] // 2
 
 
 def derive_profile(ns: IntegerLattice) -> RootConstraintProfile:
@@ -100,7 +100,7 @@ def derive_profile(ns: IntegerLattice) -> RootConstraintProfile:
     return RootConstraintProfile(a_denominator=dens[0], b_denominators=tuple(dens[1:]))
 
 
-def _split_divisor(root: IntegerLattice, dvec: FrameVector) -> tuple[Fraction, tuple[Fraction, ...]]:
+def _split_divisor(dvec: FrameVector) -> tuple[Fraction, tuple[Fraction, ...]]:
     rc = dvec.root_coords()
     return rc[0], tuple(rc[1:])
 
@@ -210,7 +210,7 @@ def enumerate_obstructing_roots(
     short-circuits to it (the N_i are classify_positivity's business either
     way).  Results are canonically sorted by coefficient vector.
     """
-    root, d = _family_frame(ns)
+    d = _family_frame(ns)
     if not contains(ns, divisor):
         raise ValueError(f"divisor {divisor!r} is not a lattice point of {ns.name}")
     d2 = inner(divisor, divisor)
@@ -222,41 +222,48 @@ def enumerate_obstructing_roots(
         strict = profile.strict if profile.strict is not None else (d2 == 0)
     if d2 == 0 and not strict:
         raise ValueError("non-strict root enumeration is infinite for isotropic divisors")
-    p, qs = _split_divisor(root, divisor)
+    p, qs = _split_divisor(divisor)
     if any(q > 0 for q in qs) or p <= 0:
         raise ValueError(
             "divisor must have positive L-coefficient and non-positive N-coefficients"
         )
     a_values, _ = _candidate_a_values(d, p, qs, profile.a_denominator, strict)
+    return _candidates(ns, d, p, qs, a_values, 4, -2 if strict else 0)
+
+
+def _candidates(
+    ns: IntegerLattice, d: int, p: Fraction, qs, a_values, square: int, dc_cap: int
+) -> list[FrameVector]:
+    """Classes C = a L - sum (beta_i / 2) N_i of ns with C^2 = -square / 2 and
+    2 (D.C) <= dc_cap, for a on the grid a_values, built as integers over 2;
+    sorted by root coordinates."""
+    root = ns.root()
     q2 = [int(2 * q) for q in qs]
-    dc_cap = -2 if strict else 0
-    roots = []
+    out = []
     for a in a_values:
-        a2 = int(2 * a)
-        target = d * a2 * a2 + 4  # sum beta^2 with beta = -2b
-        dc_base_f = 4 * d * p * a  # 2*(D.C) = 4 d p a + sum (2 q_i) beta_i
-        if dc_base_f.denominator != 1:
+        a2, rest = divmod(2 * a.numerator, a.denominator)
+        # 2*(D.C) = 4 d p a + sum (2 q_i) beta_i
+        dc_base, rest_dc = divmod(4 * d * p.numerator * a.numerator, p.denominator * a.denominator)
+        if rest or rest_dc:
             raise RuntimeError("non-integral scaled intersection base")
-        dc_base = dc_base_f.numerator
-        for beta in _beta_solutions(target, q2, dc_base, dc_cap):
-            coords = [a] + [Fraction(-b, 2) for b in beta]
-            c = root.vector(coords)
+        for beta in _beta_solutions(d * a2 * a2 + square, q2, dc_base, dc_cap):
+            c = FrameVector(root, [a2] + [-b for b in beta], 2)
             if contains(ns, c):
-                roots.append(c)
-    roots.sort(key=lambda c: c.root_coords())
-    return roots
+                out.append(c)
+    out.sort(key=lambda c: c.root_coords())
+    return out
 
 
 def classify_positivity(ns: IntegerLattice, divisor: FrameVector) -> PositivityReport:
     """Certify a divisor as ample / pseudo ample / nef / not nef."""
-    root, d = _family_frame(ns)
+    d = _family_frame(ns)
     if not contains(ns, divisor):
         raise ValueError(f"divisor {divisor!r} is not a lattice point of {ns.name}")
     d2 = inner(divisor, divisor)
     if d2 < 0:
         raise ValueError(f"divisor has negative self-intersection {d2}")
     profile = derive_profile(ns)
-    p, qs = _split_divisor(root, divisor)
+    p, qs = _split_divisor(divisor)
     strict = d2 == 0
     _, a_max = _candidate_a_values(d, p, qs, profile.a_denominator, strict)
     obstructors: list[tuple[FrameVector, Fraction]] = []
@@ -326,7 +333,7 @@ def isotropic_classes(
     isotropic boundary, where such families are genuinely infinite) and
     positive L-coefficient (with p <= 0 the grid check never fails).
     """
-    root, d = _family_frame(ns)
+    d = _family_frame(ns)
     d2 = inner(divisor, divisor)
     if d2 <= 0:
         raise ValueError("isotropic search requires a divisor of positive square")
@@ -335,7 +342,7 @@ def isotropic_classes(
         raise ValueError("requested intersection values must be positive")
     t = dots[-1]
     profile = derive_profile(ns)
-    p, qs = _split_divisor(root, divisor)
+    p, qs = _split_divisor(divisor)
     if p <= 0:
         raise ValueError("isotropic search requires a divisor with positive L-coefficient")
     qq = sum(q * q for q in qs)
@@ -348,22 +355,8 @@ def isotropic_classes(
             return True
         return lhs * lhs <= 4 * qq * d * x * x
 
-    q2 = [int(2 * q) for q in qs]
-    out = []
-    for x in _grid_values(check, profile.a_denominator):
-        x2 = int(2 * x)
-        target = d * x2 * x2  # sum beta^2 = 4 d x^2 for E^2 = 0
-        dc_base = int(4 * d * p * x)
-        for beta in _beta_solutions(target, q2, dc_base, 2 * t):
-            coords = [x] + [Fraction(-b, 2) for b in beta]
-            e = root.vector(coords)
-            if not contains(ns, e):
-                continue
-            val = inner(divisor, e)
-            if val.denominator == 1 and int(val) in dots:
-                out.append(e)
-    out.sort(key=lambda c: c.root_coords())
-    return out
+    x_values = _grid_values(check, profile.a_denominator)
+    return [e for e in _candidates(ns, d, p, qs, x_values, 0, 2 * t) if inner(divisor, e) in dots]
 
 
 def _is_primitive_in(ns: IntegerLattice, v: FrameVector) -> bool:

@@ -95,6 +95,14 @@ def test_chow(capsys):
     assert data["k3"] is True
 
 
+def test_chow_huge_repetition_count(capsys):
+    # the count is checked against the codimension before the multidegrees
+    # are built, so this exits at once instead of filling memory
+    code, _, err = run_cli(capsys, "chow", "P2: (1)^1000000000000")
+    assert code == 2
+    assert "codimension" in err
+
+
 def test_table1_single_row(capsys):
     code, out, _ = run_cli(capsys, "table1", "L:2d=8")
     assert code == 0
@@ -122,3 +130,11 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("dmax", ["0", "-3"])
+def test_verify_paper_rejects_empty_range(capsys, dmax):
+    code, out, err = run_cli(capsys, "verify-paper", "--dmax", dmax)
+    assert code == 2
+    assert out == ""
+    assert "dmax" in err

@@ -21,7 +21,7 @@ from k3evenset.families import (
     parse_family,
     validate_glue,
 )
-from k3evenset.lattice import contains, inner, is_primitive, norm, same_lattice
+from k3evenset.lattice import contains, inner, is_primitive, lattice_to_json, norm, same_lattice
 
 
 def test_parse_family_grammar():
@@ -241,3 +241,26 @@ def test_parse_divisor_errors():
             parse_divisor(ns, bad)
     with pytest.raises(ValueError, match="L' families"):
         parse_divisor(ns, "L1")
+
+
+def test_canonical_overlattice_frame_is_pinned():
+    # recorded before frames took integer rows over one denominator
+    base = make("L:2d=8")
+    glue = GlueVector(frozenset(canonical_glue_support(4))).glue_class(base.root())
+    two = [["2" if j == i else "0" for j in range(9)] for i in range(1, 9)]
+    assert lattice_to_json(overlattice(base, glue))["frame"] == {
+        "parent": "L:2d=8",
+        "matrix_num": [["1", "1", "1", "1", "1", "0", "0", "0", "0"]] + two,
+        "matrix_den": "2",
+    }
+
+
+def test_validate_glue_messages_and_doubled_coordinates():
+    base = make("L:2d=8")
+    root = base.root()
+    glue = GlueVector(frozenset({1, 2, 3, 4})).glue_class(root)
+    assert validate_glue(base, glue) == (1, 1, 1, 1, 1, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match="2 \\* glue must lie in the lattice"):
+        validate_glue(base, root.vector([Fraction(1, 3)] + [0] * 8))
+    with pytest.raises(ValueError, match="outside the rational span"):
+        validate_glue(nikulin_sublattice(base), root.vector([Fraction(1, 2)] + [0] * 8))

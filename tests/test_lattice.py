@@ -236,3 +236,67 @@ def test_json_rejects_gram_mismatch():
     data["gram"][0][0] = str(int(data["gram"][0][0]) + 2)
     with pytest.raises(ValueError, match="does not match"):
         lattice_from_json(data, parent=ns.root())
+
+
+def fraction_root(v):
+    """Root coordinates of v computed in Fraction arithmetic from its frame."""
+    coords = [Fraction(x) for x in v.coords()]
+    lat = v.lattice
+    while lat.frame is not None:
+        parent, rows, s = lat.frame
+        coords = [
+            sum(c * Fraction(r[j], s) for c, r in zip(coords, rows)) for j in range(parent.rank)
+        ]
+        lat = parent
+    return coords
+
+
+SCALARS = [3, -2, 0, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+
+
+def test_frame_vector_arithmetic_against_fractions():
+    rng = random.Random(31)
+    ns, nsp = make("L:2d=8"), make("L':2d=8")
+
+    def rand_vec(lat):
+        return lat.vector([Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(9)])
+
+    for _ in range(40):
+        x, y = rand_vec(ns), rand_vec(ns)
+        # same lattice: the result stays in the lattice's own basis
+        for got, op in ((x + y, lambda a, b: a + b), (x - y, lambda a, b: a - b)):
+            assert got.lattice is ns
+            assert list(got.coords()) == [op(a, b) for a, b in zip(x.coords(), y.coords())]
+        # L against L' over a shared root: the result lives in the root frame
+        z = rand_vec(nsp)
+        for got, op in ((x + z, lambda a, b: a + b), (z - x, lambda a, b: b - a)):
+            assert got.lattice is ns.root()
+            assert list(got.coords()) == [
+                op(a, b) for a, b in zip(fraction_root(x), fraction_root(z))
+            ]
+        for k in SCALARS:
+            assert list((k * x).coords()) == [k * c for c in x.coords()]
+            assert list((x * k).coords()) == [c * k for c in x.coords()]
+            if k:
+                assert list((x / k).coords()) == [c / k for c in x.coords()]
+        assert list((-z).coords()) == [-c for c in z.coords()]
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    with pytest.raises(ValueError, match="incompatible frames"):
+        x + make("M:2d'=8").basis_vector(0)
+
+
+def test_framed_reduces_a_non_minimal_denominator():
+    root = make("L:2d=8").root()
+    rows = [[1, 1, 1, 1, 1, 0, 0, 0, 0], [0, 2, 0, 0, 0, 0, 0, 0, 0]]
+    minimal = IntegerLattice.framed("m", root, rows, ("a", "b"), s=2)
+    for k in (2, 3, 10):
+        scaled = [[k * x for x in row] for row in rows]
+        other = IntegerLattice.framed("m", root, scaled, ("a", "b"), s=2 * k)
+        assert other.frame == minimal.frame
+        assert other.gram == minimal.gram
+        assert lattice_to_json(other) == lattice_to_json(minimal)
+    integral = IntegerLattice.framed("i", root, [[4] + [0] * 8], ("x",), s=2)
+    assert integral.frame[1:] == (((2,) + (0,) * 8,), 1)
+    with pytest.raises(TypeError):
+        IntegerLattice.framed("f", root, [[Fraction(1, 2)] + [0] * 8], ("x",))

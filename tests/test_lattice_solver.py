@@ -1,12 +1,13 @@
 """The per-lattice integer solver against plain Fraction Gauss elimination.
 
-`coords_from_root`, `contains` and `integral_coords_matrix` all answer from
-one cached Smith solver; here they are checked on full-rank and lower-rank
+`coords_in`, `contains` and `integral_coords_matrix` all answer from one
+cached Smith solver; here they are checked on full-rank and lower-rank
 framed lattices against an elimination written in this file.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -20,6 +21,7 @@ from k3evenset.families import (
 from k3evenset.lattice import (
     IntegerLattice,
     contains,
+    coords_in,
     integral_coords_matrix,
     saturation,
 )
@@ -68,13 +70,13 @@ def basis_in_root(lat):
 def random_sublattice(rng, ambient, name):
     """Framed sublattice of ambient with independent random lattice-point rows."""
     root = ambient.root()
-    amb = basis_in_root(ambient)
+    amb, s = ambient.basis_in_root_scaled()
     while True:
         k = rng.randint(1, ambient.rank)
         coeffs = [[rng.randint(-2, 2) for _ in range(ambient.rank)] for _ in range(k)]
         rows = [[sum(c * b[j] for c, b in zip(cs, amb)) for j in range(root.rank)] for cs in coeffs]
         if q_rank(rows) == k:
-            return IntegerLattice.framed(name, root, rows, [f"x{i}" for i in range(k)])
+            return IntegerLattice.framed(name, root, rows, [f"x{i}" for i in range(k)], s=s)
 
 
 def solver_lattices():
@@ -113,9 +115,17 @@ def test_solver_agrees_with_gauss_elimination(lat):
     points = []
     for x in samples:
         want = gauss_coords(basis, x)
-        assert lat.coords_from_root(x) == want
         v = root.vector(x)
+        if want is None:
+            assert all(coords_in(lat, v, k) is None for k in (1, 2, 6, 2**12 * 3**8 * 5**4 * 7**3))
+        else:
+            k = lcm(*(f.denominator for f in want))
+            assert coords_in(lat, v, k) == tuple(int(k * f) for f in want)
+            for j in (2, 3):
+                if k % j == 0:
+                    assert coords_in(lat, v, k // j) is None
         is_point = want is not None and all(f.denominator == 1 for f in want)
+        assert (coords_in(lat, v) is not None) == is_point
         assert contains(lat, v) == is_point
         if is_point:
             points.append((v, [int(f) for f in want]))
@@ -132,7 +142,7 @@ def test_dependent_frame_rows_raise_value_error():
     dep = IntegerLattice.framed("dep", root, [n1, [2 * x for x in n1]], ("a", "b"))
     v = root.basis_vector(1)
     with pytest.raises(ValueError, match="dependent"):
-        dep.coords_from_root(v.root_coords())
+        coords_in(dep, v)
     with pytest.raises(ValueError, match="dependent"):
         contains(dep, v)
     with pytest.raises(ValueError, match="dependent"):
