@@ -14,6 +14,10 @@ from typing import Sequence
 
 from .exactlin import IntMatrix
 
+# Largest total dimension of a product of projective spaces: it bounds the
+# total - 2 multidegrees of a surface; the K3 models here need at most 6.
+MAX_TOTAL_DIM = 18
+
 
 @dataclass(frozen=True)
 class MultiProjSpace:
@@ -22,6 +26,11 @@ class MultiProjSpace:
     def __post_init__(self):
         if not self.dims or any(n <= 0 for n in self.dims):
             raise ValueError("each projective factor must have positive dimension")
+        if self.total_dim > MAX_TOTAL_DIM:
+            raise ValueError(
+                f"{self.label()} has dimension {self.total_dim}; "
+                f"at most {MAX_TOTAL_DIM} is supported"
+            )
 
     @property
     def total_dim(self) -> int:

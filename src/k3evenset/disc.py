@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import det, smith_normal_form
+from .exactlin import smith_normal_form
 from .lattice import FrameVector, IntegerLattice, inner
 
 
@@ -26,11 +26,9 @@ class DiscriminantGroup:
 
 
 def discriminant_group(lat: IntegerLattice) -> DiscriminantGroup:
-    g = lat.gram
-    d = det(g)
-    if d == 0:
+    snf = smith_normal_form(lat.gram)
+    if 0 in snf.diag:
         raise ValueError(f"{lat.name}: degenerate lattice has no discriminant group")
-    snf = smith_normal_form(g)
     factors = []
     lifts = []
     order = 1

@@ -1,17 +1,17 @@
 """Exact integer linear algebra.
 
-Everything here runs on Python's arbitrary-precision integers; no floating
-point is used anywhere, and ``fractions.Fraction`` appears only inside the
-congruence reduction of ``signature``.  The module provides the arithmetic
-substrate for the lattice machinery: fraction-free determinants, one Smith
-normal form with unimodular transforms, row Hermite normal form, exact
-signatures of symmetric forms and integral linear solving.
+Everything here runs on Python's arbitrary-precision integers; neither
+floating point nor ``fractions.Fraction`` is used anywhere.  The module
+provides the arithmetic substrate for the lattice machinery: fraction-free
+determinants, one Smith normal form with unimodular transforms, row Hermite
+normal form, integral linear solving and one fraction-free symmetric
+elimination, which gives exact signatures of symmetric forms and the
+Fincke-Pohst factorisation of ``lattice.short_vectors``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 
@@ -276,57 +276,69 @@ def row_hnf(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in mat[:top])
 
 
-def signature(g: IntMatrix) -> Signature:
-    """Signature of a symmetric integer matrix by rational congruence reduction.
+def _symmetric_bareiss(
+    g: Sequence[Sequence[int]],
+) -> tuple[list[tuple[int, ...]], list[int], int]:
+    """Fraction-free symmetric elimination (Bareiss LDL^T) of an integer matrix.
 
-    Correctness rests on Sylvester's law of inertia: symmetric pivoting steps
-    are congruence transformations, so the diagonal sign counts agree with the
-    eigenvalue sign counts.  A zero diagonal block with a nonzero off-diagonal
-    entry is handled with the standard hyperbolic step (add one row/column
-    into the other), which exposes a nonzero diagonal entry.
+    Returns (rows, pivots, zero).  Each step divides exactly by the previous
+    pivot, so pivots[k] = D_{k+1} is a leading minor of a matrix congruent to
+    g, and rows[k] is its integer pivot row k from the diagonal on.  In the
+    congruent basis the form is sum_k (R_k . x)^2 / (D_k D_{k+1}), D_0 = 1,
+    with R_k = rows[k] read from column k; the last `zero` basis vectors,
+    whose rows became null, get no square of their own.  A zero pivot is
+    replaced by a later nonzero diagonal entry (symmetric swap) or by the
+    hyperbolic step row/column k += row/column j, whose diagonal entry is
+    2 g_kj; with every leading minor of g nonzero nothing is pivoted.
+    """
+    a = [list(row) for row in g]
+    m = len(a)
+    pivots: list[int] = []
+    prev = 1
+    k = 0
+    while k < m:
+        if a[k][k] == 0:
+            i = next((i for i in range(k + 1, m) if a[i][i]), None)
+            j = next((j for j in range(k + 1, m) if a[k][j]), None)
+            if i is None and j is not None:
+                # hyperbolic step: row/column k += row/column j
+                a[k] = [x + y for x, y in zip(a[k], a[j])]
+                for row in a:
+                    row[k] += row[j]
+            else:
+                # symmetric swap with a nonzero diagonal entry, or of the
+                # null row k with the last active one
+                if i is None:
+                    m -= 1
+                    i = m
+                a[k], a[i] = a[i], a[k]
+                for row in a:
+                    row[k], row[i] = row[i], row[k]
+                if a[k][k] == 0:
+                    continue
+        p = a[k][k]
+        for i in range(k + 1, m):
+            ai, aik = a[i], a[i][k]
+            for j in range(k + 1, m):
+                ai[j] = (p * ai[j] - aik * a[k][j]) // prev
+        pivots.append(p)
+        prev = p
+        k += 1
+    return [tuple(a[k][k:]) for k in range(m)], pivots, len(a) - m
+
+
+def signature(g: IntMatrix) -> Signature:
+    """Signature of a symmetric integer matrix by integer symmetric elimination.
+
+    Correctness rests on Sylvester's law of inertia: the elimination is a
+    congruence, and its k-th diagonal entry D_k / D_{k-1} is positive exactly
+    when consecutive pivots (1, D_1, D_2, ...) agree in sign.
     """
     if not g.is_symmetric():
         raise ValueError("signature requires a symmetric matrix")
-    n = g.rows
-    a = [[Fraction(x) for x in row] for row in g.entries]
-    pos = neg = zero = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            # look for a later index with nonzero diagonal to swap in
-            swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
-            if swap is not None:
-                _sym_swap(a, k, swap)
-            else:
-                off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if off is None:
-                    zero += 1
-                    continue
-                _sym_add(a, k, off)  # hyperbolic step: row/col k += row/col off
-        p = a[k][k]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                q = a[i][k] / p
-                for j in range(k, n):
-                    a[i][j] -= q * a[k][j]
-                for j in range(k, n):
-                    a[j][i] -= q * a[j][k]
-    return Signature(pos, neg, zero)
-
-
-def _sym_swap(a, i, j):
-    a[i], a[j] = a[j], a[i]
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
-def _sym_add(a, i, j):
-    a[i] = [x + y for x, y in zip(a[i], a[j])]
-    for row in a:
-        row[i] = row[i] + row[j]
+    _, pivots, zero = _symmetric_bareiss(g.entries)
+    pos = sum(1 for a, b in zip([1] + pivots, pivots) if (a > 0) == (b > 0))
+    return Signature(pos, len(pivots) - pos, zero)
 
 
 def solve_integral(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:

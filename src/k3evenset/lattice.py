@@ -8,21 +8,24 @@ index-two overlattices, family members) live in one root frame, so
 statements such as "(L - N1 - N2)/2 lies in L'_4 but not in L_4" are decided
 by exact coordinate arithmetic and never by convention.  A vector is integer
 numerators over one denominator, and every coordinate and membership answer
-comes from `coords_in`, which reads one integer Smith solver per lattice.
-Fraction appears only in `vector()` input, in the values of `inner` and in
-the display and sort accessors `coords()` and `root_coords()`.
+comes from `coords_in`, which reads one integer Smith solver per lattice,
+and `short_vectors` enumerates on the integer symmetric elimination of
+`exactlin`.  Fraction appears only in `vector()` input, in the values of
+`inner` and in the display and sort accessors `coords()` and
+`root_coords()`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import index, mul
 from typing import Iterable, Optional, Sequence
 
 from .exactlin import (
     IntMatrix,
+    _symmetric_bareiss,
     det,
     row_hnf,
     signature,
@@ -505,60 +508,43 @@ def content(lat: IntegerLattice, x: FrameVector) -> int:
 # --- short vector enumeration (negative definite forms) ------------------
 
 
-def _floor_sqrt(f: Fraction) -> int:
-    """floor(sqrt(f)) for f >= 0, exact."""
-    if f < 0:
-        raise ValueError("negative radicand")
-    from math import isqrt
-
-    r = isqrt(f.numerator * f.denominator) // f.denominator
-    while (r + 1) * (r + 1) <= f:
-        r += 1
-    while r * r > f:
-        r -= 1
-    return r
-
-
 def short_vectors(lat: IntegerLattice, max_abs_norm: int) -> list[FrameVector]:
     """All nonzero x in a negative definite lattice with |x.x| <= max_abs_norm.
 
-    Standard Fincke-Pohst enumeration on the positive definite form -G with
-    an exact rational Cholesky-style decomposition.  Both signs of every
-    vector are returned.
+    Standard Fincke-Pohst enumeration on the positive definite form -G,
+    factored without pivoting by the integer symmetric elimination:
+    -x.x = sum_k (R_k . x)^2 / (D_k D_{k+1}).  Scaled by M, the lcm of the
+    D_k D_{k+1}, every bound is an integer square root.  Coordinates are
+    fixed from the last down, each ascending; both signs of every vector
+    are returned.
     """
     n = lat.rank
-    g = lat.gram
-    q = [[Fraction(-g[i, j]) for j in range(n)] for i in range(n)]
-    # decompose: form = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("short_vectors requires a negative definite lattice")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
+    rows, pivots, zero = _symmetric_bareiss([[-x for x in row] for row in lat.gram.entries])
+    if zero or any(p <= 0 for p in pivots):
+        raise ValueError("short_vectors requires a negative definite lattice")
+    dens = [a * b for a, b in zip([1] + pivots, pivots)]
+    m = lcm(*dens)
+    weights = [m // d for d in dens]
     results: list[FrameVector] = []
     x = [0] * n
-    bound = Fraction(max_abs_norm)
 
-    def recurse(i: int, remaining: Fraction):
+    def recurse(i: int, remaining: int):
         if i < 0:
             if any(x):
                 results.append(lat.vector(list(x)))
             return
-        c = sum(q[i][j] * x[j] for j in range(i + 1, n))
-        half_width = _floor_sqrt(remaining / q[i][i])
-        # x_i + c ranges over [-sqrt(remaining/qii), sqrt(remaining/qii)]
-        for xi in range(int(-c) - half_width - 1, int(-c) + half_width + 2):
-            t = q[i][i] * (xi + c) ** 2
-            if t <= remaining:
-                x[i] = xi
-                recurse(i - 1, remaining - t)
+        p, *tail = rows[i]
+        c = sum(map(mul, tail, x[i + 1:]))
+        w = weights[i]
+        s = isqrt(remaining // w)
+        # |p x_i + c| <= s
+        for xi in range(-((s + c) // p), (s - c) // p + 1):
+            t = p * xi + c
+            x[i] = xi
+            recurse(i - 1, remaining - w * t * t)
         x[i] = 0
 
-    recurse(n - 1, bound)
+    recurse(n - 1, m * max_abs_norm)
     return results
 
 

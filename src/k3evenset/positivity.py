@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .lattice import FrameVector, IntegerLattice, contains, inner
+from .lattice import FrameVector, IntegerLattice, contains, content, inner, vector_to_json
 from .families import canonical_octet
 
 STATUS_AMPLE = "ample"
@@ -54,7 +54,6 @@ class RootConstraintProfile:
 
     a_denominator: int
     b_denominators: tuple[int, ...]
-    strict: Optional[bool] = None
 
 
 @dataclass(frozen=True)
@@ -68,8 +67,6 @@ class PositivityReport:
     assumptions: tuple[str, ...]
 
     def to_json(self) -> dict:
-        from .lattice import vector_to_json
-
         return {
             "schema": "k3evenset/1",
             "divisor": vector_to_json(self.divisor),
@@ -95,9 +92,14 @@ def _family_frame(ns: IntegerLattice) -> int:
 def derive_profile(ns: IntegerLattice) -> RootConstraintProfile:
     """Read the admissible coordinate denominators off the basis matrix."""
     _family_frame(ns)
-    b, s = ns.basis_in_root_scaled()
-    dens = [max(s // gcd(x, s) for x in col) for col in zip(*b)]
+    dens = _denominators(ns)
     return RootConstraintProfile(a_denominator=dens[0], b_denominators=tuple(dens[1:]))
+
+
+def _denominators(ns: IntegerLattice) -> list[int]:
+    """Least denominator of each root coordinate over ns's basis vectors."""
+    b, s = ns.basis_in_root_scaled()
+    return [max(s // gcd(x, s) for x in col) for col in zip(*b)]
 
 
 def _split_divisor(dvec: FrameVector) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -197,11 +199,33 @@ def _beta_solutions(
     yield from rec(0, target, dc_base)
 
 
+def _obstructing_roots(
+    ns: IntegerLattice, divisor: FrameVector, strict: Optional[bool]
+) -> tuple[Fraction, Fraction, list[FrameVector]]:
+    """(D^2, a_max, obstructing roots): the set-up and search shared by
+    enumerate_obstructing_roots and classify_positivity; strict None means
+    strict exactly for an isotropic divisor."""
+    d = _family_frame(ns)
+    if not contains(ns, divisor):
+        raise ValueError(f"divisor {divisor!r} is not a lattice point of {ns.name}")
+    d2 = inner(divisor, divisor)
+    if d2 < 0:
+        raise ValueError(f"divisor has negative self-intersection {d2}")
+    if strict is None:
+        strict = d2 == 0
+    if d2 == 0 and not strict:
+        raise ValueError("non-strict root enumeration is infinite for isotropic divisors")
+    p, qs = _split_divisor(divisor)
+    a_values, a_max = _candidate_a_values(d, p, qs, _denominators(ns)[0], strict)
+    if any(q > 0 for q in qs) or p <= 0:
+        raise ValueError(
+            "divisor must have positive L-coefficient and non-positive N-coefficients"
+        )
+    return d2, a_max, _candidates(ns, d, p, qs, a_values, 4, -2 if strict else 0)
+
+
 def enumerate_obstructing_roots(
-    ns: IntegerLattice,
-    divisor: FrameVector,
-    profile: Optional[RootConstraintProfile] = None,
-    strict: Optional[bool] = None,
+    ns: IntegerLattice, divisor: FrameVector, strict: Optional[bool] = None
 ) -> list[FrameVector]:
     """Complete list of profile roots C with C^2 = -2 obstructing a divisor.
 
@@ -210,25 +234,7 @@ def enumerate_obstructing_roots(
     short-circuits to it (the N_i are classify_positivity's business either
     way).  Results are canonically sorted by coefficient vector.
     """
-    d = _family_frame(ns)
-    if not contains(ns, divisor):
-        raise ValueError(f"divisor {divisor!r} is not a lattice point of {ns.name}")
-    d2 = inner(divisor, divisor)
-    if d2 < 0:
-        raise ValueError(f"divisor has negative self-intersection {d2}")
-    if profile is None:
-        profile = derive_profile(ns)
-    if strict is None:
-        strict = profile.strict if profile.strict is not None else (d2 == 0)
-    if d2 == 0 and not strict:
-        raise ValueError("non-strict root enumeration is infinite for isotropic divisors")
-    p, qs = _split_divisor(divisor)
-    if any(q > 0 for q in qs) or p <= 0:
-        raise ValueError(
-            "divisor must have positive L-coefficient and non-positive N-coefficients"
-        )
-    a_values, _ = _candidate_a_values(d, p, qs, profile.a_denominator, strict)
-    return _candidates(ns, d, p, qs, a_values, 4, -2 if strict else 0)
+    return _obstructing_roots(ns, divisor, strict)[2]
 
 
 def _candidates(
@@ -256,22 +262,13 @@ def _candidates(
 
 def classify_positivity(ns: IntegerLattice, divisor: FrameVector) -> PositivityReport:
     """Certify a divisor as ample / pseudo ample / nef / not nef."""
-    d = _family_frame(ns)
-    if not contains(ns, divisor):
-        raise ValueError(f"divisor {divisor!r} is not a lattice point of {ns.name}")
-    d2 = inner(divisor, divisor)
-    if d2 < 0:
-        raise ValueError(f"divisor has negative self-intersection {d2}")
-    profile = derive_profile(ns)
-    p, qs = _split_divisor(divisor)
-    strict = d2 == 0
-    _, a_max = _candidate_a_values(d, p, qs, profile.a_denominator, strict)
+    d2, a_max, roots = _obstructing_roots(ns, divisor, None)
     obstructors: list[tuple[FrameVector, Fraction]] = []
     for n_i in canonical_octet(ns):
         v = inner(divisor, n_i)
         if v <= 0:
             obstructors.append((n_i, v))
-    for c in enumerate_obstructing_roots(ns, divisor, profile, strict=strict):
+    for c in roots:
         obstructors.append((c, inner(divisor, c)))
     negative = [c for c, v in obstructors if v < 0]
     orthogonal = [c for c, v in obstructors if v == 0]
@@ -359,12 +356,6 @@ def isotropic_classes(
     return [e for e in _candidates(ns, d, p, qs, x_values, 0, 2 * t) if inner(divisor, e) in dots]
 
 
-def _is_primitive_in(ns: IntegerLattice, v: FrameVector) -> bool:
-    from .lattice import content
-
-    return content(ns, v) == 1
-
-
 @dataclass(frozen=True)
 class PencilDecomposition:
     """D = a*E + (sum of the fixed-part curves); empty fixed part when D = aE."""
@@ -390,15 +381,13 @@ def pencil_decomposition(
         raise ValueError("pencil decomposition is defined for nef divisors only")
     d2 = report.self_intersection
     if d2 == 0:
-        from .lattice import content
-
         k = content(ns, divisor)
         return PencilDecomposition(k, divisor / k, ())
     # single fixed curve: a is forced by (D - aE)^2 = -2 with E.D = 1
     if (d2 + 2) % 2 == 0:
         a = (d2 + 2) // 2
         for e in isotropic_classes(ns, divisor, [1]):
-            if not _is_primitive_in(ns, e):
+            if not content(ns, e) == 1:
                 continue
             if classify_positivity(ns, e).status != STATUS_NEF:
                 continue
@@ -410,7 +399,7 @@ def pencil_decomposition(
         a = (d2 + 4) // 4
         candidates = None
         for e in isotropic_classes(ns, divisor, [2]):
-            if not _is_primitive_in(ns, e):
+            if not content(ns, e) == 1:
                 continue
             if classify_positivity(ns, e).status != STATUS_NEF:
                 continue
@@ -465,7 +454,7 @@ def hyperelliptic_test(ns: IntegerLattice, divisor: FrameVector) -> Hyperellipti
     if d2 == 2:
         return HyperellipticVerdict("double_cover", witness=None, witness_kind="genus2")
     for e in isotropic_classes(ns, divisor, [2]):
-        if classify_positivity(ns, e).status == STATUS_NEF and _is_primitive_in(ns, e):
+        if classify_positivity(ns, e).status == STATUS_NEF and content(ns, e) == 1:
             return HyperellipticVerdict("double_cover", witness=e, witness_kind="elliptic_pencil")
     half = divisor / 2
     if contains(ns, half) and inner(half, half) == 2:
@@ -488,8 +477,6 @@ def riemann_roch_h0(ns: IntegerLattice, divisor: FrameVector) -> tuple[int, str]
             f"D^2 = {d2} < 0: dimension counts for negative classes need per-divisor analysis"
         )
     if d2 == 0:
-        from .lattice import content
-
         k = content(ns, divisor)
         return k + 1, "free elliptic pencil assumption"
     if d2.numerator % 2 != 0:

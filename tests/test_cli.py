@@ -103,6 +103,13 @@ def test_chow_huge_repetition_count(capsys):
     assert "codimension" in err
 
 
+def test_chow_huge_projective_dimension(capsys):
+    # a dimension above the bound is refused before any multidegree is read
+    code, _, err = run_cli(capsys, "chow", "P1000002: (1)^1000000")
+    assert code == 2
+    assert "P1000002 has dimension 1000002" in err
+
+
 def test_table1_single_row(capsys):
     code, out, _ = run_cli(capsys, "table1", "L:2d=8")
     assert code == 0
