@@ -11,7 +11,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .exactlin import IntMatrix, det, signature, smith_normal_form, solve_integral
 from .lattice import contains, is_primitive, short_vectors
@@ -26,7 +26,6 @@ from .families import (
 )
 from .positivity import (
     classify_positivity,
-    derive_profile,
     enumerate_obstructing_roots,
     is_even_set,
     riemann_roch_h0,
@@ -138,8 +137,9 @@ def criterion_glue_classification(dmax: int = 12) -> CriterionResult:
 def oracle_obstructing_roots(ns, divisor, strict: bool, a_cap: Fraction) -> list:
     """Wide brute-force root scan, independent of the bounded search.
 
-    Enumerates every candidate C = a L + sum b_i N_i with a on the grid up
-    to a_cap and beta_i = -2 b_i nonnegative integers with
+    Enumerates every candidate C = a L + sum b_i N_i with a a multiple of
+    1 / (lcm of the L-coordinate denominators of ns's basis) up to a_cap and
+    beta_i = -2 b_i nonnegative integers with
     sum beta_i^2 = 4 d a^2 + 4.  It prunes only on the exact square budget
     and on the coarse bound |decrease| <= max|2q| * (isqrt(nz*R) + 1), where
     nz counts the unassigned slots with q_i != 0 (zero-weight slots cannot
@@ -148,7 +148,7 @@ def oracle_obstructing_roots(ns, divisor, strict: bool, a_cap: Fraction) -> list
     """
     root = ns.root()
     d = root.gram[0, 0] // 2
-    profile = derive_profile(ns)
+    a_den = lcm(*(v.root_coords()[0].denominator for v in ns.basis_vectors()))
     rc = divisor.root_coords()
     p, qs = rc[0], rc[1:]
     q2 = [int(2 * q) for q in qs]
@@ -158,7 +158,7 @@ def oracle_obstructing_roots(ns, divisor, strict: bool, a_cap: Fraction) -> list
     found = []
     k = 1
     while True:
-        a = Fraction(k, profile.a_denominator)
+        a = Fraction(k, a_den)
         if a > a_cap:
             break
         k += 1
@@ -195,10 +195,9 @@ def oracle_obstructing_roots(ns, divisor, strict: bool, a_cap: Fraction) -> list
 
 def _cross_validate(ns, divisor, failures, label):
     report = classify_positivity(ns, divisor)
-    strict = report.self_intersection == 0
-    fast = enumerate_obstructing_roots(ns, divisor, strict=strict)
+    fast = enumerate_obstructing_roots(ns, divisor)
     a_cap = 3 * max(report.search_bound, Fraction(1))
-    slow = oracle_obstructing_roots(ns, divisor, strict, a_cap)
+    slow = oracle_obstructing_roots(ns, divisor, report.self_intersection == 0, a_cap)
     if [c.root_coords() for c in fast] != [c.root_coords() for c in slow]:
         failures.append(f"{label}: oracle disagrees with bounded search")
     return report

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 from .exactlin import IntMatrix
@@ -17,6 +18,9 @@ from .exactlin import IntMatrix
 # Largest total dimension of a product of projective spaces: it bounds the
 # total - 2 multidegrees of a surface; the K3 models here need at most 6.
 MAX_TOTAL_DIM = 18
+# Largest rank prod(n_i + 1) of the truncated ring, which bounds the size of
+# every polynomial the products build: P1^12 and P3^6 reach it.
+MAX_RING_RANK = 4096
 
 
 @dataclass(frozen=True)
@@ -30,6 +34,12 @@ class MultiProjSpace:
             raise ValueError(
                 f"{self.label()} has dimension {self.total_dim}; "
                 f"at most {MAX_TOTAL_DIM} is supported"
+            )
+        rank = prod(n + 1 for n in self.dims)
+        if rank > MAX_RING_RANK:
+            raise ValueError(
+                f"{self.label()} has a truncated Chow ring of rank {rank}; "
+                f"at most {MAX_RING_RANK} is supported"
             )
 
     @property

@@ -17,6 +17,7 @@ from .disc import disc_report_json, discriminant_group
 from .families import (
     GlueVector,
     admissible_glues,
+    canonical_glue_support,
     canonical_octet,
     make,
     overlattice,
@@ -76,8 +77,11 @@ def _cmd_glues(args) -> int:
 
 def _cmd_overlattice(args) -> int:
     family = parse_family(args.family)
+    if args.support is None:
+        support = frozenset(canonical_glue_support(family.parameter))
+    else:
+        support = frozenset(int(x) for x in args.support.split(","))
     base = make(family)
-    support = frozenset(int(x) for x in args.support.split(","))
     glue = GlueVector(support).glue_class(base.root())
     over = overlattice(base, glue)
     group = discriminant_group(over)
@@ -282,15 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "overlattice" and args.support is None:
-        from .families import canonical_glue_support, parse_family as _pf
-
-        try:
-            family = _pf(args.family)
-            args.support = ",".join(map(str, canonical_glue_support(family.parameter)))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except ValueError as exc:

@@ -6,21 +6,27 @@ classes other than the N_i themselves are modeled, following the reduction
 used in all the ampleness proofs, as C = a*L + sum b_i N_i with a > 0 and
 b_i <= 0; the N_i enter every classification separately.
 
-Completeness of the search is proof-backed rather than heuristic.  For a
-divisor D = p*L + sum q_i N_i (q_i <= 0, Q = sum q_i^2) and a root C (so
-sum b_i^2 = d a^2 + 1), the obstruction D.C <= 0 forces
+Completeness of every search rests on one inequality.  For a divisor
+D = p*L + sum q_i N_i (Q = sum q_i^2) and a class C of square -2c, so that
+sum b_i^2 = d a^2 + c, the intersection number is D.C = 2 d p a - 2 sum q_i b_i,
+and Cauchy-Schwarz turns D.C <= m into
 
-    (d p a)^2 <= Q (d a^2 + 1)
+    2 d p a - m < 0   or   (2 d p a - m)^2 <= 4 Q (d a^2 + c).
 
-by Cauchy-Schwarz, and D.C <= -1 (the strict test; intersection numbers of
-lattice points are integers) forces
-
-    (2 d p a + 1)^2 <= 4 Q (d a^2 + 1).
-
-Each is a quadratic inequality in a whose admissible solutions are scanned
-exactly over the family's coordinate grid; the largest one is the reported
-search bound a_max.  The leading coefficient d^2 p^2 - d Q equals d D^2 / 2,
-so the bound is finite for every divisor of positive square.
+Roots (c = 1) obstruct a divisor of positive square when D.C <= 0 (m = 0)
+and an isotropic divisor when D.C <= -1 (m = -1: intersection numbers of
+lattice points are integers); isotropic classes (c = 0) with E.D <= t take
+m = t.  The scan walks a = k / a_den for k = 1, 2, ... and stops at the
+first k that fails; the last k it keeps gives the reported bound a_max.
+It terminates because the quadratic (2 d p a - m)^2 - 4 Q (d a^2 + c) has
+leading coefficient 4 d (d p^2 - Q) = 2 d D^2: positive when D^2 > 0, and
+when D^2 = 0 the remaining linear term -4 d p m a grows for p > 0 and
+m = -1.  So every search checks D^2 and the sign of p before it scans.  The
+kept k form an initial segment: for m <= 0 the quadratic is non-positive
+at a = 0 (or never is, when Q = 0), and for m = t it is at 2 d p a = t.
+Candidates are built with 2a and 2b_i integral, which covers every lattice
+point only when the lattice's root coordinates lie in Z/2; other lattices
+are refused.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .lattice import FrameVector, IntegerLattice, contains, content, inner, vector_to_json
@@ -42,18 +49,6 @@ _MODEL_ASSUMPTION = (
     "candidate irreducible classes besides the N_i have a > 0 and b_i <= 0; "
     "the N_i are checked separately"
 )
-
-
-@dataclass(frozen=True)
-class RootConstraintProfile:
-    """Coordinate grid and sign constraints for the root search.
-
-    Denominators are derived from the lattice's basis matrix (the L' glue is
-    what makes them 2), never hard-coded per family.
-    """
-
-    a_denominator: int
-    b_denominators: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -79,83 +74,46 @@ class PositivityReport:
         }
 
 
-def _family_frame(ns: IntegerLattice) -> int:
-    """d = L^2 / 2 of the L-type split frame ns lives in."""
+def _family_frame(ns: IntegerLattice) -> tuple[int, int]:
+    """(d, a_den): d = L^2 / 2 of the L-type split frame ns lives in, and
+    a_den the least common denominator of the L-coordinates of ns's basis.
+
+    Raises unless the reduced basis denominator is 1 or 2, which is what
+    puts every root coordinate of ns in Z/2.
+    """
     root = ns.root()
     if not root.name.startswith("Lsplit") or root.rank != 9:
         raise ValueError(
             f"{ns.name}: root search bounds are family-specific; expected an L-type split frame"
         )
-    return root.gram[0, 0] // 2
-
-
-def derive_profile(ns: IntegerLattice) -> RootConstraintProfile:
-    """Read the admissible coordinate denominators off the basis matrix."""
-    _family_frame(ns)
-    dens = _denominators(ns)
-    return RootConstraintProfile(a_denominator=dens[0], b_denominators=tuple(dens[1:]))
-
-
-def _denominators(ns: IntegerLattice) -> list[int]:
-    """Least denominator of each root coordinate over ns's basis vectors."""
     b, s = ns.basis_in_root_scaled()
-    return [max(s // gcd(x, s) for x in col) for col in zip(*b)]
+    if s > 2:
+        raise ValueError(
+            f"{ns.name}: root search needs root coordinates in Z/2; "
+            f"the basis has denominator {s}"
+        )
+    return root.gram[0, 0] // 2, s // gcd(s, *(row[0] for row in b))
 
 
-def _split_divisor(dvec: FrameVector) -> tuple[Fraction, tuple[Fraction, ...]]:
-    rc = dvec.root_coords()
-    return rc[0], tuple(rc[1:])
+def _half_coords(divisor: FrameVector) -> tuple[int, list[int]]:
+    """(2p, [2q_i]) of a lattice point of a lattice _family_frame accepts."""
+    (p, *qs), den = divisor.root_scaled()
+    return 2 * p // den, [2 * q // den for q in qs]
 
 
-def _grid_values(limit_check, denominator: int) -> list[Fraction]:
-    """Positive grid points satisfying a check whose feasible set is an
-    initial segment of the positive axis."""
-    out = []
+def _a_grid(d: int, p2: int, q2: Sequence[int], a_den: int, c: int, m: int) -> int:
+    """The last k of the scan a = k / a_den under the module's bound for
+    D.C <= m on classes of square -2c, with p2 = 2p and q2_i = 2q_i; the
+    bound is multiplied through by a_den^2 to stay in integers."""
+    qq = sum(q * q for q in q2)
+    shift = m * a_den
+    ca = c * a_den * a_den
     k = 1
     while True:
-        a = Fraction(k, denominator)
-        if not limit_check(a):
-            break
-        out.append(a)
+        lhs = d * p2 * k - shift
+        if lhs >= 0 and lhs * lhs > qq * (d * k * k + ca):
+            return k - 1
         k += 1
-    return out
-
-
-def _candidate_a_values(
-    d: int, p: Fraction, qs: Sequence[Fraction], a_den: int, strict: bool
-) -> tuple[list[Fraction], Fraction]:
-    """Admissible a grid values under the Cauchy-Schwarz bound, plus a_max."""
-    qq = sum(q * q for q in qs)
-    lead = d * d * p * p - qq * d  # = d * D^2 / 2
-    if lead < 0:
-        raise ValueError(
-            "search bound degenerates (divisor of negative square); "
-            "cannot certify completeness"
-        )
-    if not strict:
-        # (d p a)^2 <= Q (d a^2 + 1)  <=>  lead * a^2 <= Q
-        if lead == 0:
-            raise ValueError(
-                "non-strict obstruction search is unbounded for an isotropic divisor"
-            )
-
-        def check(a: Fraction) -> bool:
-            return lead * a * a <= qq
-
-    else:
-        # (2 d p a + 1)^2 <= 4 Q (d a^2 + 1)
-        # <=> 4*lead*a^2 + 4*d*p*a + (1 - 4 Q) <= 0
-        # For lead > 0 this holds on an interval whose left end is negative,
-        # for lead = 0 it is the half-line a <= (4 Q - 1)/(4 d p);
-        # either way the feasible a > 0 form an initial grid segment.
-        c0 = 1 - 4 * qq
-
-        def check(a: Fraction) -> bool:
-            return 4 * lead * a * a + 4 * d * p * a + c0 <= 0
-
-    values = _grid_values(check, a_den)
-    a_max = values[-1] if values else Fraction(0)
-    return values, a_max
 
 
 def _beta_solutions(
@@ -163,8 +121,9 @@ def _beta_solutions(
     q2: Sequence[int],
     dc_base: int,
     dc_cap: int,
-) -> Iterable[tuple[int, ...]]:
-    """Nonnegative integer 8-tuples beta with sum beta_i^2 = target.
+) -> Iterable[tuple[tuple[int, ...], int]]:
+    """(beta, 2*(D.C)) for nonnegative integer 8-tuples beta with
+    sum beta_i^2 = target.
 
     beta_i = -2 b_i.  Branches are pruned with the exact feasibility test for
     2*(D.C) = dc_base + sum (2 q_i) beta_i <= dc_cap: the unassigned slots
@@ -185,7 +144,7 @@ def _beta_solutions(
     def rec(i: int, remaining: int, partial: int):
         if i == n:
             if remaining == 0 and partial <= dc_cap:
-                yield tuple(beta)
+                yield tuple(beta), partial
             return
         if not feasible(i, remaining, partial):
             return
@@ -199,77 +158,67 @@ def _beta_solutions(
     yield from rec(0, target, dc_base)
 
 
+def _candidates(
+    ns: IntegerLattice, d: int, p2: int, q2: Sequence[int], a_den: int, c: int, m: int
+) -> tuple[int, list[tuple[FrameVector, int]]]:
+    """(last k of the a-grid, [(C, 2 D.C)]) for the classes
+    C = (2a L - sum beta_i N_i) / 2 of ns with C^2 = -2c and D.C <= m,
+    sorted by root coordinates."""
+    root = ns.root()
+    k_max = _a_grid(d, p2, q2, a_den, c, m)
+    found = []
+    for k in range(1, k_max + 1):
+        a2 = 2 * k // a_den
+        for beta, dc in _beta_solutions(d * a2 * a2 + 4 * c, q2, d * p2 * a2, 2 * m):
+            key = (a2, *(-b for b in beta))
+            cand = FrameVector(root, key, 2)
+            if contains(ns, cand):
+                found.append((key, cand, dc))
+    # every key is 2 * root_coords over the same denominator
+    found.sort(key=itemgetter(0))
+    return k_max, [(cand, dc) for _, cand, dc in found]
+
+
 def _obstructing_roots(
-    ns: IntegerLattice, divisor: FrameVector, strict: Optional[bool]
-) -> tuple[Fraction, Fraction, list[FrameVector]]:
-    """(D^2, a_max, obstructing roots): the set-up and search shared by
-    enumerate_obstructing_roots and classify_positivity; strict None means
-    strict exactly for an isotropic divisor."""
-    d = _family_frame(ns)
+    ns: IntegerLattice, divisor: FrameVector
+) -> tuple[Fraction, Fraction, list[tuple[FrameVector, int]]]:
+    """(D^2, a_max, [(C, 2 D.C)]): the checks and search shared by
+    enumerate_obstructing_roots and classify_positivity."""
+    d, a_den = _family_frame(ns)
     if not contains(ns, divisor):
         raise ValueError(f"divisor {divisor!r} is not a lattice point of {ns.name}")
     d2 = inner(divisor, divisor)
     if d2 < 0:
         raise ValueError(f"divisor has negative self-intersection {d2}")
-    if strict is None:
-        strict = d2 == 0
-    if d2 == 0 and not strict:
-        raise ValueError("non-strict root enumeration is infinite for isotropic divisors")
-    p, qs = _split_divisor(divisor)
-    a_values, a_max = _candidate_a_values(d, p, qs, _denominators(ns)[0], strict)
-    if any(q > 0 for q in qs) or p <= 0:
+    p2, q2 = _half_coords(divisor)
+    if p2 <= 0 or any(q > 0 for q in q2):
         raise ValueError(
             "divisor must have positive L-coefficient and non-positive N-coefficients"
         )
-    return d2, a_max, _candidates(ns, d, p, qs, a_values, 4, -2 if strict else 0)
+    k_max, roots = _candidates(ns, d, p2, q2, a_den, 1, -1 if d2 == 0 else 0)
+    return d2, Fraction(k_max, a_den), roots
 
 
-def enumerate_obstructing_roots(
-    ns: IntegerLattice, divisor: FrameVector, strict: Optional[bool] = None
-) -> list[FrameVector]:
-    """Complete list of profile roots C with C^2 = -2 obstructing a divisor.
+def enumerate_obstructing_roots(ns: IntegerLattice, divisor: FrameVector) -> list[FrameVector]:
+    """Complete list of roots C with C^2 = -2 obstructing a divisor.
 
     For divisor self-intersection > 0 the obstruction is D.C <= 0; on an
     isotropic divisor only the strict test D.C < 0 is finite, so that case
-    short-circuits to it (the N_i are classify_positivity's business either
-    way).  Results are canonically sorted by coefficient vector.
+    runs it (the N_i are classify_positivity's business either way).
+    Results are canonically sorted by coefficient vector.
     """
-    return _obstructing_roots(ns, divisor, strict)[2]
-
-
-def _candidates(
-    ns: IntegerLattice, d: int, p: Fraction, qs, a_values, square: int, dc_cap: int
-) -> list[FrameVector]:
-    """Classes C = a L - sum (beta_i / 2) N_i of ns with C^2 = -square / 2 and
-    2 (D.C) <= dc_cap, for a on the grid a_values, built as integers over 2;
-    sorted by root coordinates."""
-    root = ns.root()
-    q2 = [int(2 * q) for q in qs]
-    out = []
-    for a in a_values:
-        a2, rest = divmod(2 * a.numerator, a.denominator)
-        # 2*(D.C) = 4 d p a + sum (2 q_i) beta_i
-        dc_base, rest_dc = divmod(4 * d * p.numerator * a.numerator, p.denominator * a.denominator)
-        if rest or rest_dc:
-            raise RuntimeError("non-integral scaled intersection base")
-        for beta in _beta_solutions(d * a2 * a2 + square, q2, dc_base, dc_cap):
-            c = FrameVector(root, [a2] + [-b for b in beta], 2)
-            if contains(ns, c):
-                out.append(c)
-    out.sort(key=lambda c: c.root_coords())
-    return out
+    return [c for c, _ in _obstructing_roots(ns, divisor)[2]]
 
 
 def classify_positivity(ns: IntegerLattice, divisor: FrameVector) -> PositivityReport:
     """Certify a divisor as ample / pseudo ample / nef / not nef."""
-    d2, a_max, roots = _obstructing_roots(ns, divisor, None)
-    obstructors: list[tuple[FrameVector, Fraction]] = []
+    d2, a_max, roots = _obstructing_roots(ns, divisor)
+    obstructors = []
     for n_i in canonical_octet(ns):
         v = inner(divisor, n_i)
         if v <= 0:
             obstructors.append((n_i, v))
-    for c in roots:
-        obstructors.append((c, inner(divisor, c)))
+    obstructors += roots
     negative = [c for c, v in obstructors if v < 0]
     orthogonal = [c for c, v in obstructors if v == 0]
     assumptions = (_MODEL_ASSUMPTION,) + (
@@ -326,34 +275,24 @@ def isotropic_classes(
 ) -> list[FrameVector]:
     """Isotropic classes E with x > 0, y_i <= 0, E in ns and E.D in dots.
 
-    Complete for divisors of positive square (the bound degenerates on the
-    isotropic boundary, where such families are genuinely infinite) and
-    positive L-coefficient (with p <= 0 the grid check never fails).
+    Complete for lattice points D of positive square (on the isotropic
+    boundary such families are genuinely infinite) and positive
+    L-coefficient (with p <= 0 the scan would never stop).
     """
-    d = _family_frame(ns)
+    d, a_den = _family_frame(ns)
+    if not contains(ns, divisor):
+        raise ValueError(f"divisor {divisor!r} is not a lattice point of {ns.name}")
     d2 = inner(divisor, divisor)
     if d2 <= 0:
         raise ValueError("isotropic search requires a divisor of positive square")
     dots = sorted(set(int(t) for t in dots))
     if not dots or dots[0] <= 0:
         raise ValueError("requested intersection values must be positive")
-    t = dots[-1]
-    profile = derive_profile(ns)
-    p, qs = _split_divisor(divisor)
-    if p <= 0:
+    p2, q2 = _half_coords(divisor)
+    if p2 <= 0:
         raise ValueError("isotropic search requires a divisor with positive L-coefficient")
-    qq = sum(q * q for q in qs)
-    # feasible region: {2 d p x <= t} union {(2 d p x - t)^2 <= 4 Q d x^2},
-    # Q = sum q_i^2; d^2 p^2 - d Q = d D^2 / 2 > 0 makes it an initial segment
-    # of the positive axis, since the quadratic is non-positive at x = t/(2dp)
-    def check(x: Fraction) -> bool:
-        lhs = 2 * d * p * x - t
-        if lhs < 0:
-            return True
-        return lhs * lhs <= 4 * qq * d * x * x
-
-    x_values = _grid_values(check, profile.a_denominator)
-    return [e for e in _candidates(ns, d, p, qs, x_values, 0, 2 * t) if inner(divisor, e) in dots]
+    wanted = {2 * t for t in dots}
+    return [e for e, dc in _candidates(ns, d, p2, q2, a_den, 0, dots[-1])[1] if dc in wanted]
 
 
 @dataclass(frozen=True)
@@ -426,9 +365,7 @@ def pencil_decomposition(
 def _orthogonal_witnesses(ns: IntegerLattice, divisor: FrameVector) -> list[FrameVector]:
     """All roots orthogonal to a pseudo-ample divisor (candidates for fixed curves)."""
     out = [n_i for n_i in canonical_octet(ns) if inner(divisor, n_i) == 0]
-    for c in enumerate_obstructing_roots(ns, divisor, strict=False):
-        if inner(divisor, c) == 0:
-            out.append(c)
+    out += [c for c, dc in _obstructing_roots(ns, divisor)[2] if dc == 0]
     out.sort(key=lambda c: c.root_coords())
     return out
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import k3evenset
 from k3evenset.cli import main
 
 
@@ -75,6 +80,30 @@ def test_ample_rejects_bad_divisor(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ample", "L:2d=4", "--divisor", "Nhat-L"],
+        ["ample", "L':2d=8", "--divisor=-L1"],
+        ["hyperelliptic", "L:2d=4", "--divisor", "Nhat-L"],
+    ],
+)
+def test_isotropic_divisor_with_negative_l_coefficient_exits(argv):
+    # the strict test holds for every a when p < 0, so the sign check must
+    # come before the scan; a separate process with a timeout keeps a
+    # regression from hanging the suite
+    env = dict(os.environ, PYTHONPATH=str(Path(k3evenset.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3evenset.cli", *argv],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: divisor must have positive L-coefficient and non-positive N-coefficients\n"
+    )
+
+
 def test_evenset(capsys):
     code, out, _ = run_cli(capsys, "evenset", "L:2d=6")
     assert code == 0
@@ -108,6 +137,15 @@ def test_chow_huge_projective_dimension(capsys):
     code, _, err = run_cli(capsys, "chow", "P1000002: (1)^1000000")
     assert code == 2
     assert "P1000002 has dimension 1000002" in err
+
+
+def test_chow_ring_too_large(capsys):
+    # (1,...,1)^14 on P1^16 is a K3 surface, but its truncated ring has rank
+    # 2^16; the product is refused before any polynomial is built
+    code, out, err = run_cli(capsys, "chow", "P1" + "xP1" * 15 + ": (" + ",".join("1" * 16) + ")^14")
+    assert code == 2
+    assert out == ""
+    assert "rank 65536; at most 4096" in err
 
 
 def test_table1_single_row(capsys):

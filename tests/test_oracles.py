@@ -15,7 +15,6 @@ from k3evenset.acceptance import _brute_solve, oracle_obstructing_roots
 from k3evenset.exactlin import IntMatrix
 from k3evenset.families import make, parse_divisor
 from k3evenset.lattice import contains, norm
-from k3evenset.positivity import derive_profile
 
 
 def plain_solve(a, b, radius):
@@ -83,7 +82,7 @@ def unpruned_roots(ns, divisor, strict, a_cap):
     for x in w:
         m = lcm(m, x.denominator)
     wi = [int(x * m) for x in w[1:]]
-    den = derive_profile(ns).a_denominator
+    den = lcm(*(v.root_coords()[0].denominator for v in ns.basis_vectors()))
     bound = 2 * m * (-1 if strict else 0)
     out = []
     k = 1

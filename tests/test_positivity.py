@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 
 from k3evenset.families import canonical_octet, make, parse_divisor, split_root_l
-from k3evenset.lattice import contains, inner, norm, short_vectors
+from k3evenset.lattice import IntegerLattice, contains, inner, norm, short_vectors
 from k3evenset.positivity import (
+    _family_frame,
     classify_positivity,
     curve_data,
-    derive_profile,
     enumerate_obstructing_roots,
     hyperelliptic_test,
     is_even_set,
@@ -22,17 +22,29 @@ def divisor(family, text):
     return ns, parse_divisor(ns, text)
 
 
-def test_profile_denominators_come_from_the_basis():
-    p = derive_profile(make("L:2d=6"))
-    assert p.a_denominator == 1
-    assert p.b_denominators == (2,) * 8
-    p = derive_profile(make("L':2d=8"))
-    assert p.a_denominator == 2
+def test_search_grid_comes_from_the_basis():
+    assert _family_frame(make("L:2d=6")) == (3, 1)
+    assert _family_frame(make("L':2d=8")) == (4, 2)
 
 
-def test_profile_rejects_m_families():
+def test_search_refuses_a_basis_outside_half_integers():
+    # basis L/2, L/3 + N2: the point -L/2 + 2(L/3 + N2) has a = 1/6, which
+    # a grid of step 1/2 or 1/3 would miss
+    lat = IntegerLattice.framed(
+        "thirds", split_root_l(18), [[3] + [0] * 8, [2, 0, 6] + [0] * 6], ("u", "v"),
+        even=False, s=6,
+    )
+    assert lat.gram.entries == ((9, 6), (6, 2))
+    with pytest.raises(ValueError, match="denominator 6"):
+        _family_frame(lat)
+    with pytest.raises(ValueError, match="denominator 6"):
+        classify_positivity(lat, 2 * lat.basis_vector(0))
+
+
+def test_search_rejects_m_families():
+    ns = make("M:2d'=4")
     with pytest.raises(ValueError, match="family-specific"):
-        derive_profile(make("M:2d'=4"))
+        classify_positivity(ns, ns.basis_vector(0))
 
 
 def test_l_minus_nhat_ample_for_d_at_least_3():
@@ -129,7 +141,7 @@ def test_enumerate_returns_sound_witnesses():
     ns, dv = divisor("L:2d=6", "L-Nhat")
     assert enumerate_obstructing_roots(ns, dv) == []
     ns, dv = divisor("L':2d=4", "L-Nhat")
-    for c in enumerate_obstructing_roots(ns, dv, strict=True):
+    for c in enumerate_obstructing_roots(ns, dv):
         assert norm(c) == -2
         assert contains(ns, c)
         assert inner(dv, c) <= -1
@@ -281,6 +293,19 @@ def test_isotropic_classes_in_lprime8():
     assert e1 in found and e2 in found
     for e in found:
         assert norm(e) == 0 and inner(e, dv) == 2
+
+
+def test_isotropic_classes_below_the_largest_dot():
+    # E.L = 4 needs a = 1, where 2 d p a = 4 < t = 6: the scan must keep
+    # grid points left of 2 d p a = t without testing the square
+    ns, dv = divisor("L:2d=4", "L")
+    found = isotropic_classes(ns, dv, [4, 6])
+    assert found == isotropic_classes(ns, dv, [4])
+    # the 28 classes L - N_i - N_j and L - Nhat
+    assert len(found) == 29
+    assert parse_divisor(ns, "L-Nhat") in found
+    for e in found:
+        assert norm(e) == 0 and inner(e, dv) == 4
 
 
 def test_riemann_roch_values():
