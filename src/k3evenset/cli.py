@@ -10,11 +10,13 @@ All reports are deterministic byte-for-byte for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .disc import disc_report_json, discriminant_group
 from .families import (
+    KIND_L,
     GlueVector,
     admissible_glues,
     canonical_glue_support,
@@ -77,12 +79,22 @@ def _cmd_glues(args) -> int:
 
 def _cmd_overlattice(args) -> int:
     family = parse_family(args.family)
+    if family.kind != KIND_L:
+        raise ValueError(f"overlattice extends an L family, not {family.label()}")
     if args.support is None:
         support = frozenset(canonical_glue_support(family.parameter))
     else:
-        support = frozenset(int(x) for x in args.support.split(","))
+        try:
+            support = frozenset(int(x) for x in args.support.split(","))
+        except ValueError:
+            raise ValueError(
+                f"support must be comma-separated indices in 1..8, got {args.support!r}"
+            ) from None
+    glue_vector = GlueVector(support)
+    if len(support) == 8:
+        raise ValueError("support 1..8 gives v = 2*Nhat, and v/2 already lies in N")
     base = make(family)
-    glue = GlueVector(support).glue_class(base.root())
+    glue = glue_vector.glue_class(base.root())
     over = overlattice(base, glue)
     group = discriminant_group(over)
     data = {
@@ -229,7 +241,13 @@ def _cmd_verify_paper(args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    `parse_args` leaves it unchanged, so one parser serves every `main`
+    call of a process.
+    """
     parser = argparse.ArgumentParser(
         prog="k3evenset",
         description="Exact lattice computations for K3 surfaces with an even set "

@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Union
 
 from .exactlin import IntMatrix, det, row_hnf
@@ -360,16 +361,28 @@ def validate_glue(base: IntegerLattice, glue: FrameVector) -> tuple[int, ...]:
         raise ValueError("2 * glue must lie in the lattice")
     if not any(c % 2 for c in doubled):
         raise ValueError("glue already in lattice")
-    for i, b in enumerate(base.basis_vectors()):
-        p = inner(glue, b)
-        if p.denominator != 1:
+    pairings, den, sq, sq_den = glue_pairings(base, glue)
+    for name, p in zip(base.basis_names, pairings):
+        if p % den:
             raise ValueError(
-                f"integrality failure: glue pairs non-integrally ({p}) with {base.basis_names[i]}"
+                f"integrality failure: glue pairs non-integrally ({Fraction(p, den)}) with {name}"
             )
-    sq = inner(glue, glue)
-    if sq.denominator != 1 or sq.numerator % 2 != 0:
-        raise ValueError(f"evenness failure: adjoined square {sq} is not in 2Z")
+    if sq % (2 * sq_den):
+        raise ValueError(f"evenness failure: adjoined square {Fraction(sq, sq_den)} is not in 2Z")
     return doubled
+
+
+def glue_pairings(base: IntegerLattice, glue: FrameVector) -> tuple[list[int], int, int, int]:
+    """(p, den, sq, sq_den) with glue . b_i = p[i] / den and glue . glue = sq / sq_den.
+
+    One integer product gx = G xi over the root Gram, for glue = xi / dx,
+    serves every pairing: b_i = B[i] / s gives glue . b_i = B[i] . gx / (dx s)
+    and glue . glue = xi . gx / dx^2.  The glue must share base's root frame.
+    """
+    xi, dx = glue.root_scaled()
+    gx = [sum(map(mul, row, xi)) for row in base.root().gram.entries]
+    rows, s = base.basis_in_root_scaled()
+    return [sum(map(mul, row, gx)) for row in rows], dx * s, sum(map(mul, xi, gx)), dx * dx
 
 
 def admissible_glues(d: int) -> list[list[GlueVector]]:

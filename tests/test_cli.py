@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,13 +8,23 @@ from pathlib import Path
 import pytest
 
 import k3evenset
-from k3evenset.cli import main
+from k3evenset.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(argv):
+    """(exit code, stdout, stderr) of the CLI in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(k3evenset.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3evenset.cli", *argv],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_disc_text(capsys):
@@ -56,6 +67,29 @@ def test_overlattice_inadmissible(capsys):
     assert "evenness failure" in err
 
 
+@pytest.mark.parametrize("family", ["M:2d'=4", "M':2d'=8", "L':2d=8"])
+def test_overlattice_refuses_other_families(capsys, family):
+    code, out, err = run_cli(capsys, "overlattice", family)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: overlattice extends an L family, not {family}\n"
+
+
+def test_overlattice_refuses_twice_nhat(capsys):
+    code, out, err = run_cli(capsys, "overlattice", "L:2d=8", "--support", "1,2,3,4,5,6,7,8")
+    assert code == 2
+    assert out == ""
+    assert err == "error: support 1..8 gives v = 2*Nhat, and v/2 already lies in N\n"
+
+
+@pytest.mark.parametrize("support", ["", "1,,2", "a,b"])
+def test_overlattice_rejects_non_integer_support(capsys, support):
+    code, out, err = run_cli(capsys, "overlattice", "L:2d=8", "--support", support)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: support must be comma-separated indices in 1..8, got {support!r}\n"
+
+
 def test_ample(capsys):
     code, out, _ = run_cli(capsys, "ample", "L:2d=6", "--divisor", "L-Nhat")
     assert code == 0
@@ -92,15 +126,10 @@ def test_isotropic_divisor_with_negative_l_coefficient_exits(argv):
     # the strict test holds for every a when p < 0, so the sign check must
     # come before the scan; a separate process with a timeout keeps a
     # regression from hanging the suite
-    env = dict(os.environ, PYTHONPATH=str(Path(k3evenset.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "k3evenset.cli", *argv],
-        capture_output=True, text=True, timeout=30, env=env,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == (
-        "error: divisor must have positive L-coefficient and non-positive N-coefficients\n"
+    assert run_fresh(argv) == (
+        2,
+        "",
+        "error: divisor must have positive L-coefficient and non-positive N-coefficients\n",
     )
 
 
@@ -183,3 +212,37 @@ def test_verify_paper_rejects_empty_range(capsys, dmax):
     assert code == 2
     assert out == ""
     assert "dmax" in err
+
+
+def test_main_builds_one_parser_and_matches_fresh_processes(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    calls = [
+        ["glues", "x"],
+        ["--format", "json", "glues", "4"],
+        ["--format", "text", "overlattice", "L:2d=8"],
+    ]
+    warm = []
+    try:
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            warm.append((code, captured.out, captured.err))
+            if len(warm) == 1:
+                first = len(built)
+                assert first > 0  # the first call builds the parser and its subparsers
+        assert len(built) == first
+    finally:
+        build_parser.cache_clear()
+    assert [code for code, _, _ in warm] == [2, 0, 0]
+    assert [run_fresh(argv) for argv in calls] == warm

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from k3evenset.acceptance import criterion_glue_classification
 from k3evenset.disc import discriminant_group
 from k3evenset.exactlin import Signature, det, signature
 from k3evenset.families import (
@@ -12,6 +14,7 @@ from k3evenset.families import (
     anti_diagonal_e8,
     canonical_glue_support,
     glue_equivalent,
+    glue_pairings,
     k3_embedding,
     k3_lattice,
     make,
@@ -264,3 +267,66 @@ def test_validate_glue_messages_and_doubled_coordinates():
         validate_glue(base, root.vector([Fraction(1, 3)] + [0] * 8))
     with pytest.raises(ValueError, match="outside the rational span"):
         validate_glue(nikulin_sublattice(base), root.vector([Fraction(1, 2)] + [0] * 8))
+
+
+@pytest.mark.parametrize(
+    "family, support, message",
+    [
+        ("L:2d=6", (1, 2, 3, 4), "evenness failure: adjoined square -1/2 is not in 2Z"),
+        ("M':2d'=8", (1, 2, 3, 4), "integrality failure: glue pairs non-integrally (5/2) with gM"),
+        ("L':2d=8", (1, 2, 3, 4), "glue already in lattice"),
+    ],
+)
+def test_validate_glue_failure_messages(family, support, message):
+    base = make(family)
+    glue = GlueVector(frozenset(support)).glue_class(base.root())
+    with pytest.raises(ValueError) as exc:
+        validate_glue(base, glue)
+    assert str(exc.value) == message
+
+
+def test_glue_pairings_match_inner():
+    # inner is the oracle: every integer pairing, read as a fraction, must
+    # equal the Fraction value of the bilinear form
+    rng = random.Random(20061)
+    bases = [make(f) for f in ("L:2d=6", "L:2d=8", "L':2d=8", "L':2d=12", "M:2d'=4", "M':2d'=8")]
+    dens = {2: 0, 3: 0, 4: 0}
+    for _ in range(300):
+        base = rng.choice(bases)
+        home = rng.choice((base, base.root()))
+        den = rng.choice((2, 3, 4))
+        glue = home.vector([Fraction(rng.randint(-7, 7), den) for _ in range(home.rank)])
+        if glue.denominator in dens:
+            dens[glue.denominator] += 1
+        pairings, p_den, sq, sq_den = glue_pairings(base, glue)
+        for p, b in zip(pairings, base.basis_vectors()):
+            assert Fraction(p, p_den) == inner(glue, b)
+        assert Fraction(sq, sq_den) == inner(glue, glue)
+    assert all(n > 0 for n in dens.values())
+
+
+def _count_fractions(monkeypatch, work):
+    calls = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    result = work()
+    monkeypatch.undo()
+    return result, calls
+
+
+@pytest.mark.parametrize("d", [3, 4, 12, 13])
+def test_admissible_glues_builds_no_fraction(monkeypatch, d):
+    classes, calls = _count_fractions(monkeypatch, lambda: admissible_glues(d))
+    assert sum(len(c) for c in classes) == (70 if d % 4 == 0 else 0)
+    assert calls == []
+
+
+def test_criterion_glue_classification_builds_no_fraction(monkeypatch):
+    result, calls = _count_fractions(monkeypatch, lambda: criterion_glue_classification(12))
+    assert result.failures == []
+    assert calls == []
