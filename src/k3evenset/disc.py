@@ -26,6 +26,13 @@ class DiscriminantGroup:
 
 
 def discriminant_group(lat: IntegerLattice) -> DiscriminantGroup:
+    """The discriminant group of lat, computed once and cached on lat."""
+    if lat._discriminant_group is None:
+        lat._discriminant_group = _smith_group(lat)
+    return lat._discriminant_group
+
+
+def _smith_group(lat: IntegerLattice) -> DiscriminantGroup:
     snf = smith_normal_form(lat.gram)
     if 0 in snf.diag:
         raise ValueError(f"{lat.name}: degenerate lattice has no discriminant group")

@@ -3,8 +3,11 @@
 Everything here runs on Python's arbitrary-precision integers; neither
 floating point nor ``fractions.Fraction`` is used anywhere.  The module
 provides the arithmetic substrate for the lattice machinery: fraction-free
-determinants, one Smith normal form with unimodular transforms, row Hermite
-normal form, integral linear solving and one fraction-free symmetric
+determinants, one Smith normal form with unimodular transforms (used where
+invariant factors or transforms are the answer: discriminant groups,
+saturation, unimodular inverses and integral solving), row Hermite normal
+form with an optional transform (from which the lattice layer builds its
+coordinate solvers and primitivity tests), and one fraction-free symmetric
 elimination, which gives exact signatures of symmetric forms and the
 Fincke-Pohst factorisation of ``lattice.short_vectors``.
 """
@@ -12,6 +15,7 @@ Fincke-Pohst factorisation of ``lattice.short_vectors``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -32,6 +36,16 @@ class IntMatrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "entries", rows)
+
+    @classmethod
+    def _trusted(cls, entries: Iterable[Iterable[int]]) -> "IntMatrix":
+        """Matrix from nonempty, rectangular rows of ints, taken unchecked."""
+        rows = tuple(map(tuple, entries))
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", len(rows[0]))
+        object.__setattr__(m, "entries", rows)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -69,14 +83,14 @@ class IntMatrix:
         return self.entries[i]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.entries))
+        return IntMatrix._trusted(zip(*self.entries))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        bt = other.transpose().entries
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries]
+        cols = list(zip(*other.entries))
+        return IntMatrix._trusted(
+            [sum(map(mul, row, col)) for col in cols] for row in self.entries
         )
 
     def is_square(self) -> bool:
@@ -124,24 +138,35 @@ def det(m: IntMatrix) -> int:
                 return 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
+        ak = a[k]
+        p = ak[k]
         for i in range(k + 1, n):
+            ai = a[i]
+            aik = ai[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+                ai[j] = (ai[j] * p - aik * ak[j]) // prev
+        prev = p
     return sign * a[n - 1][n - 1]
 
 
 def _snf_find_pivot(a, k, rows, cols):
-    """Position of the smallest nonzero |entry| in the trailing block."""
+    """Position of the first smallest nonzero |entry| in the trailing block.
+
+    The scan goes row by row and stops at an entry of absolute value 1.
+    """
     best = None
-    best_abs = None
+    best_abs = 0
     for i in range(k, rows):
+        row = a[i]
         for j in range(k, cols):
-            v = a[i][j]
-            if v != 0 and (best_abs is None or abs(v) < best_abs):
-                best = (i, j)
-                best_abs = abs(v)
+            v = row[j]
+            if v:
+                v = abs(v)
+                if best is None or v < best_abs:
+                    best = (i, j)
+                    best_abs = v
+                    if v == 1:
+                        return best
     return best
 
 
@@ -153,33 +178,20 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     invariant factor dividing the next.  Pivoting always picks the smallest
     nonzero entry in absolute value, which keeps coefficient growth tame at
     the ranks used here (at most 22).
+
+    Row i of ``left`` rides beside row i of M, so one pass does a row
+    operation on both, and ``right`` is kept transposed, so a column
+    operation is one row pass.  At step k the rows above k are zero from
+    column k on, so column operations touch rows k and below only, and all
+    their quotients come from row k, which they leave unchanged outside the
+    column they clear.
     """
     rows, cols = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def row_op(i, j, q):  # row_i -= q*row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        left[i] = [x - q * y for x, y in zip(left[i], left[j])]
-
-    def col_op(i, j, q):  # col_i -= q*col_j
-        for r in range(rows):
-            a[r][i] -= q * a[r][j]
-        for r in range(cols):
-            right[r][i] -= q * right[r][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            right[r][i], right[r][j] = right[r][j], right[r][i]
+    a = [list(row) + [1 if i == j else 0 for j in range(rows)] for i, row in enumerate(m.entries)]
+    right_t = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     n = min(rows, cols)
+    width = cols + rows
     for k in range(n):
         while True:
             pos = _snf_find_pivot(a, k, rows, cols)
@@ -187,41 +199,58 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
                 break
             pi, pj = pos
             if pi != k:
-                swap_rows(k, pi)
+                a[k], a[pi] = a[pi], a[k]
             if pj != k:
-                swap_cols(k, pj)
+                for r in range(k, rows):
+                    row = a[r]
+                    row[k], row[pj] = row[pj], row[k]
+                right_t[k], right_t[pj] = right_t[pj], right_t[k]
+            ak = a[k]
+            p = ak[k]
             dirty = False
-            for i in range(k + 1, rows):
-                if a[i][k] != 0:
-                    row_op(i, k, a[i][k] // a[k][k])
-                    if a[i][k] != 0:
-                        dirty = True
-            for j in range(k + 1, cols):
-                if a[k][j] != 0:
-                    col_op(j, k, a[k][j] // a[k][k])
-                    if a[k][j] != 0:
-                        dirty = True
+            for i in range(k + 1, rows):  # row_i -= q * row_k
+                q = a[i][k] // p
+                if q:
+                    ai = a[i]
+                    for j in range(k, width):
+                        ai[j] -= q * ak[j]
+                if a[i][k]:
+                    dirty = True
+            # col_j -= q_j * col_k for every j > k with a nonzero entry in row k
+            quots = [(j, ak[j] // p) for j in range(k + 1, cols) if ak[j]]
+            if quots:
+                for r in range(k, rows):
+                    row = a[r]
+                    ark = row[k]
+                    if ark:
+                        for j, q in quots:
+                            row[j] -= q * ark
+                rk = right_t[k]
+                for j, q in quots:
+                    rj = right_t[j]
+                    for c in range(cols):
+                        rj[c] -= q * rk[c]
+                if any(ak[j] for j, _ in quots):
+                    dirty = True
             if dirty:
                 continue
+            if p == 1 or p == -1:
+                break  # a unit divides the whole block
             # Pivot divides its cleared row and column; enforce divisibility
             # against the rest of the block by folding a bad row in.
-            bad = None
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if a[i][j] % a[k][k] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next(
+                (i for i in range(k + 1, rows) if any(a[i][j] % p for j in range(k + 1, cols))),
+                None,
+            )
             if bad is None:
                 break
-            row_op(k, bad, -1)
+            a[k] = [x + y for x, y in zip(a[k], a[bad])]
         if a[k][k] < 0:
             a[k] = [-x for x in a[k]]
-            left[k] = [-x for x in left[k]]
 
     diag = tuple(a[i][i] for i in range(n))
-    return SNFResult(diag, IntMatrix(left), IntMatrix(right))
+    left = IntMatrix._trusted(row[cols:] for row in a)
+    return SNFResult(diag, left, IntMatrix._trusted(zip(*right_t)))
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
@@ -237,43 +266,61 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     return snf.right.mul(snf.left)
 
 
-def row_hnf(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+def row_hnf(rows: Sequence[Sequence[int]], transform: bool = False):
     """Hermite normal form of the row span (canonical basis of the row lattice).
 
     Row-style HNF: pivots positive, entries above each pivot reduced into
     [0, pivot).  Two integer row sets span the same lattice iff their HNFs
-    are equal.
+    are equal.  With ``transform`` the result is ``(H, U)``: U is unimodular
+    with one row per input row, and ``U * rows`` is H followed by zero rows.
+    The transform rides along as identity columns appended to the rows.
     """
     mat = [list(r) for r in rows]
     if not mat:
-        return ()
-    ncols = len(mat[0])
+        return ((), ()) if transform else ()
+    nrows, ncols = len(mat), len(mat[0])
+    if transform:
+        mat = [r + [1 if i == j else 0 for j in range(nrows)] for i, r in enumerate(mat)]
+    width = len(mat[0])
     top = 0
     for col in range(ncols):
         while True:
-            pivots = [i for i in range(top, len(mat)) if mat[i][col] != 0]
-            if not pivots:
+            pick = None
+            for i in range(top, nrows):
+                v = abs(mat[i][col])
+                if v and (pick is None or v < least):
+                    pick, least = i, v
+            if pick is None:
                 break
-            pick = min(pivots, key=lambda i: abs(mat[i][col]))
             mat[top], mat[pick] = mat[pick], mat[top]
+            pivot_row = mat[top]
+            p = pivot_row[col]
             done = True
-            for i in range(top + 1, len(mat)):
-                if mat[i][col] != 0:
-                    q = mat[i][col] // mat[top][col]
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[top])]
-                    if mat[i][col] != 0:
+            for i in range(top + 1, nrows):
+                row = mat[i]
+                if row[col]:
+                    q = row[col] // p
+                    for j in range(col, width):
+                        row[j] -= q * pivot_row[j]
+                    if row[col]:
                         done = False
             if done:
                 break
-        if top < len(mat) and mat[top][col] != 0:
-            if mat[top][col] < 0:
-                mat[top] = [-x for x in mat[top]]
+        if top < nrows and mat[top][col]:
+            pivot_row = mat[top]
+            if pivot_row[col] < 0:
+                pivot_row = mat[top] = [-x for x in pivot_row]
+            p = pivot_row[col]
             for i in range(top):
-                q = mat[i][col] // mat[top][col]
+                row = mat[i]
+                q = row[col] // p
                 if q:
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[top])]
+                    for j in range(col, width):
+                        row[j] -= q * pivot_row[j]
             top += 1
-    return tuple(tuple(r) for r in mat[:top])
+    if not transform:
+        return tuple(tuple(r) for r in mat[:top])
+    return tuple(tuple(r[:ncols]) for r in mat[:top]), tuple(tuple(r[ncols:]) for r in mat)
 
 
 def _symmetric_bareiss(

@@ -22,10 +22,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from operator import mul
 from typing import Union
 
-from .exactlin import IntMatrix, det, row_hnf
+from .exactlin import IntMatrix, row_hnf
 from .lattice import (
     FrameVector,
     IntegerLattice,
@@ -34,8 +35,6 @@ from .lattice import (
     is_primitive,
     same_lattice,
 )
-
-HALF = Fraction(1, 2)
 
 # E8 Dynkin diagram: chain 1-2-3-4-5-6-7 with node 8 attached to node 5.
 # Nodes 1 and 3 are not adjacent, as the discriminant computation for the
@@ -438,7 +437,8 @@ def overlattice(base: IntegerLattice, glue: FrameVector) -> IntegerLattice:
     basis_rows = row_hnf(int_rows)
     if len(basis_rows) != base.rank:
         raise ValueError("overlattice construction lost rank")
-    if abs(det(IntMatrix(basis_rows))) != 2 ** (base.rank - 1):
+    # a square Hermite form has its pivots on the diagonal
+    if prod(row[i] for i, row in enumerate(basis_rows)) != 2 ** (base.rank - 1):
         raise RuntimeError("overlattice does not have index two over its base")
     name = f"{base.name}+glue"
     return IntegerLattice.framed(
@@ -604,7 +604,7 @@ def parse_divisor(ns: IntegerLattice, text: str) -> FrameVector:
     if not root.name.startswith("Lsplit"):
         raise ValueError(f"divisor expressions are defined over L-type frames, not {root.name}")
     family = family_of(ns)
-    coeffs = [Fraction(0)] * 9
+    coeffs = [0] * 9  # twice the split-frame coefficients
     pos = 0
     first = True
     while pos < len(raw):
@@ -623,22 +623,21 @@ def parse_divisor(ns: IntegerLattice, text: str) -> FrameVector:
         first = False
     if first:
         raise ValueError(f"empty divisor expression {text!r}")
-    if halve:
-        coeffs = [c / 2 for c in coeffs]
-    return root.vector(coeffs)
+    return FrameVector(root, coeffs, 4 if halve else 2)
 
 
-def _symbol_coeffs(family: NSFamily, sym: str) -> list[Fraction]:
-    out = [Fraction(0)] * 9
+def _symbol_coeffs(family: NSFamily, sym: str) -> list[int]:
+    """Twice the split-frame coefficients (L, N1..N8) of a divisor symbol."""
+    out = [0] * 9
     if sym == "L":
-        out[0] = Fraction(1)
+        out[0] = 2
         return out
     if sym == "Nhat":
         for i in range(1, 9):
-            out[i] = HALF
+            out[i] = 1
         return out
     if sym.startswith("N"):
-        out[int(sym[1])] = Fraction(1)
+        out[int(sym[1])] = 2
         return out
     if sym in ("L1", "L2"):
         if family.kind != KIND_LPRIME:
@@ -649,9 +648,9 @@ def _symbol_coeffs(family: NSFamily, sym: str) -> list[Fraction]:
         else:
             first, second = (1, 2, 3, 4), (5, 6, 7, 8)
         support = first if sym == "L1" else second
-        out[0] = HALF
+        out[0] = 1
         for i in support:
-            out[i] = -HALF
+            out[i] = -1
         return out
     raise ValueError(f"unknown divisor symbol {sym}")
 

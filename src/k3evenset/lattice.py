@@ -8,8 +8,10 @@ index-two overlattices, family members) live in one root frame, so
 statements such as "(L - N1 - N2)/2 lies in L'_4 but not in L_4" are decided
 by exact coordinate arithmetic and never by convention.  A vector is integer
 numerators over one denominator, and every coordinate and membership answer
-comes from `coords_in`, which reads one integer Smith solver per lattice,
-and `short_vectors` enumerates on the integer symmetric elimination of
+comes from `coords_in`, which reads one cached integer solver per lattice:
+a framed lattice composes its parent's solver with the Hermite form of its
+own frame, so no Smith form is taken; `is_primitive` reads a Hermite form
+too.  `short_vectors` enumerates on the integer symmetric elimination of
 `exactlin`.  Fraction appears only in `vector()` input, in the values of
 `inner` and in the display and sort accessors `coords()` and
 `root_coords()`.
@@ -18,8 +20,9 @@ and `short_vectors` enumerates on the integer symmetric elimination of
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import index, mul
 from typing import Iterable, Optional, Sequence
 
@@ -61,6 +64,7 @@ class IntegerLattice:
         self.frame: Optional[tuple[IntegerLattice, IntRows, int]] = None
         self._bir_scaled: tuple[IntRows, int] | None = None
         self._solver: tuple[IntRows, int, IntRows] | None = None
+        self._discriminant_group = None  # filled by disc.discriminant_group
         self._basis_vectors: list | None = None
 
     @staticmethod
@@ -113,11 +117,7 @@ class IntegerLattice:
         """
         if self._bir_scaled is None:
             if self.frame is None:
-                ident = tuple(
-                    tuple(1 if i == j else 0 for j in range(self.rank))
-                    for i in range(self.rank)
-                )
-                self._bir_scaled = (ident, 1)
+                self._bir_scaled = (_identity(self.rank), 1)
             else:
                 parent, rint, s1 = self.frame
                 pint, s2 = parent.basis_in_root_scaled()
@@ -138,30 +138,48 @@ class IntegerLattice:
         """(P, t, K): a root vector x has coordinates P x / t, and lies on
         this lattice's span iff K x = 0.
 
-        With (B, s) the scaled basis, coordinates c solve B^T c = s x.  One
-        Smith form U B^T V = D turns this into d_i (V^-1 c)_i = s (U x)_i for
-        i below the rank and (U x)_i = 0 beyond it, so t = d_rank,
-        P = s V diag(t / d_i) U[:rank] (both reduced by their gcd) and
-        K = U[rank:].
+        A root lattice reads x itself.  A framed lattice composes its
+        parent's solver (Pp, tp, Kp), which gives parent coordinates
+        y = Pp x / tp, with its own frame (R, s): coordinates c solve
+        c R = s y.  With U R = H in Hermite form, z = c U^-1 solves z H = s y
+        by forward substitution along the pivot columns of H, exactly over
+        t = tp * (product of the pivots); each other column of H adds one
+        consistency row to K, and c = z U.
         """
         if self._solver is None:
-            b, s = self.basis_in_root_scaled()
-            snf = smith_normal_form(IntMatrix(b).transpose())
-            diag = snf.diag
-            if len(diag) < self.rank or 0 in diag:
+            if self.frame is None:
+                self._solver = (_identity(self.rank), 1, ())
+                return self._solver
+            parent, rows, s = self.frame
+            pp, tp, kp = parent._coord_solver()
+            h, u = row_hnf(rows, transform=True)
+            if len(h) < self.rank:
                 raise ValueError(f"{self.name}: frame rows are linearly dependent")
-            t = diag[-1]
-            u = snf.left.entries
-            scaled = [[s * (t // d) * x for x in u[i]] for i, d in enumerate(diag)]
-            p = [[sum(map(mul, vrow, col)) for col in zip(*scaled)] for vrow in snf.right.entries]
-            g = t
-            for row in p:
-                for x in row:
-                    g = gcd(g, x)
+            t = tp * prod(next(filter(None, row)) for row in h)
+            # s y_j = sy[j] x / t; column j of z H = s y is, in increasing j,
+            # either the pivot of the next row of H or a consistency row
+            sy = [[s * (t // tp) * x for x in row] for row in pp]
+            z: list[list[int]] = []
+            k = list(kp)
+            for j in range(parent.rank):
+                acc = sy[j]
+                for hrow, zi in zip(h, z):
+                    if hrow[j]:
+                        acc = [a - hrow[j] * b for a, b in zip(acc, zi)]
+                if len(z) < len(h) and h[len(z)][j]:
+                    z.append([a // h[len(z)][j] for a in acc])
+                elif any(acc):
+                    g = gcd(*acc)
+                    k.append(tuple(a // g for a in acc))
+            # c = z U; a frame already in Hermite form has U = 1
+            p = z if u == _identity(self.rank) else [
+                [sum(map(mul, col, zcol)) for zcol in zip(*z)] for col in zip(*u)
+            ]
+            g = gcd(t, *chain.from_iterable(p))
             self._solver = (
                 tuple(tuple(x // g for x in row) for row in p),
                 t // g,
-                u[self.rank:],
+                tuple(k),
             )
         return self._solver
 
@@ -316,20 +334,24 @@ def _ratio(scalar) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
+@cache
+def _identity(n: int) -> IntRows:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
 def _transport_gram(b: IntRows, s: int, parent_gram: IntMatrix) -> IntMatrix:
-    """(B/s) * G * (B/s)^T computed over the integers."""
+    """(B/s) * G * (B/s)^T computed over the integers, one triangle only."""
     g = parent_gram.entries
     gb = [[sum(map(mul, grow, row)) for grow in g] for row in b]
     s2 = s * s
-    entries = []
-    for bi in b:
-        out = []
-        for gbj in gb:
-            v = sum(map(mul, bi, gbj))
+    n = len(b)
+    entries = [[0] * n for _ in range(n)]
+    for i, bi in enumerate(b):
+        for j in range(i, n):
+            v = sum(map(mul, bi, gb[j]))
             if v % s2 != 0:
                 raise ValueError("transported Gram matrix is not integral")
-            out.append(v // s2)
-        entries.append(out)
+            entries[i][j] = entries[j][i] = v // s2
     return IntMatrix(entries)
 
 
@@ -445,15 +467,17 @@ def is_primitive(ambient: IntegerLattice, sub: IntegerLattice) -> bool:
     """True iff ambient/sub is torsion free.
 
     The sub lattice must carry a frame reaching ambient's root; its basis is
-    read in ambient coordinates and the quotient is torsion free exactly when
-    all Smith invariant factors of that coordinate matrix equal one.
+    read in ambient coordinates as the rows of a k x n matrix M.  The
+    quotient is torsion free exactly when M has an integral right inverse,
+    that is when the n columns of M span Z^k: the Hermite form of the
+    transpose of M is the identity.
     """
     if not frames_compatible(ambient, sub):
         raise ValueError("sublattice does not live over the ambient lattice's frame")
     m = integral_coords_matrix(ambient, sub.basis_vectors())
     if m is None:
         raise ValueError(f"{sub.name} is not a sublattice of {ambient.name}")
-    return all(d == 1 for d in smith_normal_form(m).diag)
+    return row_hnf(m.transpose().entries) == _identity(sub.rank)
 
 
 def isometry_from_basis_map(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -333,6 +334,7 @@ class DistinctnessReport:
     detail: str
 
 
+@cache
 def _formula_group(kind: str, parameter: int) -> tuple[int, ...]:
     """Discriminant group of a family by the classification lemma."""
     two_d = 2 * parameter
@@ -358,16 +360,8 @@ def _family_spec(f) -> tuple[str, int, Optional[str]]:
     return kind, parameter, reason
 
 
-_GROUP_CACHE: dict[tuple[str, int], tuple[int, ...]] = {}
-
-
 def _computed_group(kind: str, parameter: int) -> tuple[int, ...]:
-    key = (kind, parameter)
-    if key not in _GROUP_CACHE:
-        _GROUP_CACHE[key] = discriminant_group(
-            make(NSFamily(kind, parameter))
-        ).invariant_factors
-    return _GROUP_CACHE[key]
+    return discriminant_group(make(NSFamily(kind, parameter))).invariant_factors
 
 
 def families_distinct(f1, f2) -> DistinctnessReport:

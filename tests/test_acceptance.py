@@ -40,6 +40,14 @@ def test_criterion_2_glue_classification():
     check(criterion_glue_classification())
 
 
+def test_criterion_2_beyond_dmax_12():
+    # correctness only: the glue classification and primitivity of N hold
+    # up to d = 32 (the time limit is for the default dmax)
+    result = criterion_glue_classification(32)
+    assert result.ok
+    assert result.failures == []
+
+
 def test_criterion_3_positivity_suite():
     check(criterion_positivity())
 

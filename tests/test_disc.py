@@ -104,3 +104,16 @@ def test_report_json_shape():
     assert data["invariant_factors"] == ["2", "2", "2", "2", "2", "2", "6"]
     assert data["order"] == "384"
     assert len(data["lifts"]) == 7
+
+
+def test_group_is_computed_once_per_lattice(monkeypatch):
+    import k3evenset.disc as disc
+
+    lat = IntegerLattice("A", IntMatrix([[2, 1], [1, 4]]), ("a", "b"))
+    calls = []
+    snf = disc.smith_normal_form
+    monkeypatch.setattr(disc, "smith_normal_form", lambda m: calls.append(m) or snf(m))
+    first = discriminant_group(lat)
+    assert discriminant_group(lat) is first
+    assert first.invariant_factors == (7,)
+    assert len(calls) == 1

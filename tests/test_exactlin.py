@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -172,3 +173,51 @@ def test_row_hnf_is_canonical():
     b = [[2, 4, 1], [2, 1, 0]]  # same row lattice, different generators
     assert row_hnf(a) == row_hnf(b)
     assert row_hnf([[0, 0], [0, 0]]) == ()
+
+
+def snf_pin_corpus():
+    """5,000 seeded matrices: ranks 1-10, square and rectangular, singular,
+    half of them built as products of two random factors of a given rank and
+    every fifth one scaled by 2."""
+    rng = random.Random(20061019)
+    for i in range(5000):
+        rows = rng.randint(1, 10)
+        cols = rows if i % 3 == 0 else rng.randint(1, 10)
+        rank = rng.randint(1, min(rows, cols))
+        if i % 2:
+            f = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows)]
+            g = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rank)]
+            m = [[sum(x * y for x, y in zip(r, c)) for c in zip(*g)] for r in f]
+        else:
+            m = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
+        if i % 5 == 4:
+            m = [[2 * x for x in r] for r in m]
+        yield m
+
+
+def test_snf_transforms_are_pinned():
+    # disc reads its generator lifts from the right transform, so both
+    # transforms are output: a change of pivot rule or of the order of
+    # operations must show here
+    digest = hashlib.sha256()
+    for m in snf_pin_corpus():
+        snf = smith_normal_form(IntMatrix(m))
+        digest.update(repr((snf.diag, snf.left.entries, snf.right.entries)).encode())
+    assert digest.hexdigest() == (
+        "2ab33c911e06964da452816ef6dd007a530909c771dfb0e7143dd20f555b1f5b"
+    )
+
+
+def test_row_hnf_transform():
+    rng = random.Random(2006)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        rank = rng.randint(1, min(rows, cols))
+        f = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows)]
+        g = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rank)]
+        m = [[sum(x * y for x, y in zip(r, c)) for c in zip(*g)] for r in f]
+        h, u = row_hnf(m, transform=True)
+        assert h == row_hnf(m)
+        assert abs(det(IntMatrix(u))) == 1
+        zeros = ((0,) * cols,) * (rows - len(h))
+        assert IntMatrix(u).mul(IntMatrix(m)).entries == h + zeros

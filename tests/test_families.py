@@ -330,3 +330,20 @@ def test_criterion_glue_classification_builds_no_fraction(monkeypatch):
     result, calls = _count_fractions(monkeypatch, lambda: criterion_glue_classification(12))
     assert result.failures == []
     assert calls == []
+
+
+def test_parse_divisor_builds_no_fraction(monkeypatch):
+    ns = make("L':2d=12")
+    texts = ("L-Nhat", "(L-N1-N2)/2", "2L-3N1-N2", "L1")
+    vectors, calls = _count_fractions(
+        monkeypatch, lambda: [parse_divisor(ns, t) for t in texts]
+    )
+    assert calls == []
+    h = Fraction(1, 2)
+    want = [
+        [1] + [-h] * 8,
+        [h, -h, -h] + [0] * 6,
+        [2, -3, -1] + [0] * 6,
+        [h, -h, -h] + [0] * 6,  # d = 6: L1 = (L - N1 - N2)/2
+    ]
+    assert [list(v.root_coords()) for v in vectors] == want

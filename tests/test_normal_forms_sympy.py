@@ -17,8 +17,8 @@ from sympy.matrices.normalforms import (  # noqa: E402
 
 from k3evenset.exactlin import IntMatrix, row_hnf, smith_normal_form  # noqa: E402
 
-# (rows, cols) of the matrices the lattice solver factors: the transposed
-# scaled basis B^T of a rank-r lattice in a dim-dimensional root frame.
+# (rows, cols) of the matrices the lattice layer factors: scaled bases of
+# rank-r lattices in a dim-dimensional frame, and their transposes.
 SOLVER_SHAPES = [(9, 9), (9, 8), (9, 1), (9, 2), (22, 8), (22, 9), (22, 22), (8, 8)]
 
 
