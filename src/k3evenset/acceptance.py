@@ -15,10 +15,14 @@ from math import isqrt, lcm
 
 from .exactlin import IntMatrix, det, signature, smith_normal_form, solve_integral
 from .lattice import contains, is_primitive, short_vectors
-from .disc import discriminant_group, group_from_factors
+from .disc import discriminant_group
 from .families import (
-    admissible_glues,
+    KINDS,
     canonical_octet,
+    discriminant_factors,
+    families_for,
+    family_label,
+    glue_classes,
     make,
     nikulin_sublattice,
     overlattice,
@@ -86,17 +90,11 @@ def _timed(number, title, body) -> CriterionResult:
 def criterion_discriminant_groups(dmax: int = 12) -> CriterionResult:
     def body(failures):
         for d in range(1, dmax + 1):
-            cases = [(f"L:2d={2*d}", (2 * d,) + (2,) * 6)]
-            if d % 2 == 0:
-                cases.append((f"L':2d={2*d}", (2 * d,) + (2,) * 4))
-            cases.append((f"M:2d'={2*d}", (2 * d,) + (2,) * 8))
-            if d % 2 == 0:
-                cases.append((f"M':2d'={2*d}", (2 * d,) + (2,) * 6))
-            for label, factors in cases:
-                got = discriminant_group(make(label)).invariant_factors
-                want = group_from_factors(factors)
+            for family in families_for(d):
+                got = discriminant_group(make(family)).invariant_factors
+                want = discriminant_factors(family.kind, d)
                 if got != want:
-                    failures.append(f"{label}: {got} != {want}")
+                    failures.append(f"{family}: {got} != {want}")
 
     return _timed(1, "discriminant-group table for all families, d <= 12", body)
 
@@ -107,7 +105,8 @@ def criterion_discriminant_groups(dmax: int = 12) -> CriterionResult:
 def criterion_glue_classification(dmax: int = 12) -> CriterionResult:
     def body(failures):
         for d in range(1, dmax + 1):
-            classes = admissible_glues(d)
+            # each glue is validated once, by building its overlattice below
+            classes = glue_classes(d)
             total = sum(len(c) for c in classes)
             if d % 2 == 1:
                 if total != 0:
@@ -320,15 +319,14 @@ def criterion_correspondence(dmax: int = 12) -> CriterionResult:
             if back.label() != fam:
                 failures.append(f"correspondence not involutive at {fam}")
         # the only same-group pair is (L_{2d}, M'_{2d}); everything else separates
-        kinds = ["L", "L'", "M", "M'"]
         for d1 in range(1, dmax + 1):
             for d2 in range(1, dmax + 1):
-                for k1 in kinds:
-                    for k2 in kinds:
+                for k1 in KINDS:
+                    for k2 in KINDS:
                         if (k1, d1) >= (k2, d2):
                             continue
-                        label1 = f"{k1}:2d={2*d1}" if k1 in ("L", "L'") else f"{k1}:2d'={2*d1}"
-                        label2 = f"{k2}:2d={2*d2}" if k2 in ("L", "L'") else f"{k2}:2d'={2*d2}"
+                        label1 = family_label(k1, d1)
+                        label2 = family_label(k2, d2)
                         rep = families_distinct(label1, label2)
                         same_group_expected = {k1, k2} == {"L", "M'"} and d1 == d2
                         if same_group_expected and rep.kind != "same_group_but_constraint":
@@ -432,20 +430,12 @@ def criterion_properties(dmax: int = 12, matrices: int = 1000) -> CriterionResul
                 break
         # evenness of every constructed lattice, even-set behaviour
         for d in range(1, dmax + 1):
-            labels = [f"L:2d={2*d}", f"M:2d'={2*d}"]
-            if d % 2 == 0:
-                labels += [f"L':2d={2*d}", f"M':2d'={2*d}"]
-            for label in labels:
-                lat = make(label)
+            for family in families_for(d):
+                lat = make(family)
                 if any(lat.gram[i, i] % 2 for i in range(lat.rank)):
-                    failures.append(f"{label}: odd diagonal")
-            ns = make(f"L:2d={2*d}")
-            if not is_even_set(ns, canonical_octet(ns)):
-                failures.append(f"L:2d={2*d}: canonical octet not even")
-            if d % 2 == 0:
-                nsp = make(f"L':2d={2*d}")
-                if not is_even_set(nsp, canonical_octet(nsp)):
-                    failures.append(f"L':2d={2*d}: canonical octet not even")
+                    failures.append(f"{family}: odd diagonal")
+                if family.side == "L" and not is_even_set(lat, canonical_octet(lat)):
+                    failures.append(f"{family}: canonical octet not even")
         if short_vectors(make("E8(-2)"), 2):
             failures.append("E8(-2) contains vectors of square -2")
         m_roots_even = [

@@ -19,8 +19,8 @@ from .families import (
     KIND_L,
     GlueVector,
     admissible_glues,
-    canonical_glue_support,
     canonical_octet,
+    glue_indices,
     make,
     overlattice,
     parse_divisor,
@@ -82,7 +82,7 @@ def _cmd_overlattice(args) -> int:
     if family.kind != KIND_L:
         raise ValueError(f"overlattice extends an L family, not {family.label()}")
     if args.support is None:
-        support = frozenset(canonical_glue_support(family.parameter))
+        support = frozenset(glue_indices(family))
     else:
         try:
             support = frozenset(int(x) for x in args.support.split(","))
@@ -183,10 +183,7 @@ def _cmd_chow(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    if args.family:
-        reports = verify_table1(args.family)
-    else:
-        reports = verify_table1()
+    reports = verify_table1(args.family)
     ok = all(r["ok"] for r in reports)
     data = {"ok": ok, "rows": reports}
 

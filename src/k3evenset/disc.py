@@ -73,8 +73,8 @@ def group_from_factors(factors: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical invariant-factor form of a direct sum of cyclic groups.
 
     Accepts arbitrary cyclic orders and returns the ascending divisibility
-    chain, dropping trivial factors.  Used by tests to spell groups such as
-    Z/2d + (Z/2)^6 independently of the SNF code path.
+    chain, dropping trivial factors.  Spells the classification lemma's groups
+    such as Z/2d + (Z/2)^6 independently of the SNF code path.
     """
     from math import gcd
 

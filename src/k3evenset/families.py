@@ -14,6 +14,13 @@ Basis conventions used throughout (normative for the whole package):
   (M - e1 - e3)/2 depending on the parity of d'/2;
 * the K3 lattice U^3 + E8(-1)^2 has basis (e1, f1, e2, f2, e3, f3,
   then the two E8 blocks).
+
+A family kind is a pair: a side, the split frame ZX + B it lives over
+(X = L over <-2>^8, or X = M over E8(-2)), and whether it is glued, i.e.
+X is replaced by the glue class (X - sum x_i)/2 (the primed kinds).  Every
+kind-dependent fact is derived from the pair in this module: label key,
+parity rule, frame, basis, glue indices, the discriminant group of the
+classification lemma and the correspondence partner.
 """
 
 from __future__ import annotations
@@ -21,11 +28,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import prod
 from operator import mul
-from typing import Union
+from typing import Callable, NamedTuple, Optional, Union
 
+from .disc import group_from_factors
 from .exactlin import IntMatrix, row_hnf
 from .lattice import (
     FrameVector,
@@ -93,10 +102,11 @@ def nikulin_lattice() -> IntegerLattice:
         IntMatrix.diagonal([-2] * 8),
         tuple(f"N{i}" for i in range(1, 9)),
     )
-    return _nikulin_in_split(split, offset=0)
+    return IntegerLattice.framed("N", split, _nikulin_rows(8, 0), _N_NAMES, s=2)
 
 
 _N_NAMES = tuple(f"N{i}" for i in range(1, 8)) + ("Nhat",)
+_E_NAMES = tuple(f"e{i}" for i in range(1, 9))
 
 
 def _nikulin_rows(dim: int, offset: int) -> list[list[int]]:
@@ -105,9 +115,31 @@ def _nikulin_rows(dim: int, offset: int) -> list[list[int]]:
     return rows + [[1 if offset <= j < offset + 8 else 0 for j in range(dim)]]
 
 
-def _nikulin_in_split(split: IntegerLattice, offset: int) -> IntegerLattice:
-    """N framed in a split frame whose N-columns start at `offset`."""
-    return IntegerLattice.framed("N", split, _nikulin_rows(split.rank, offset), _N_NAMES, s=2)
+# --- split frames ------------------------------------------------------------
+
+
+@cache
+def split_root_l(d: int) -> IntegerLattice:
+    """Reference frame ZL + <-2>^8 with orthogonal basis (L, N1..N8)."""
+    if d <= 0:
+        raise ValueError("d must be positive")
+    names = ("L",) + tuple(f"N{i}" for i in range(1, 9))
+    return IntegerLattice(f"Lsplit:2d={2 * d}", IntMatrix.diagonal([2 * d] + [-2] * 8), names)
+
+
+@cache
+def split_root_m(dprime: int) -> IntegerLattice:
+    """Reference frame ZM + E8(-2) with basis (M, e1..e8)."""
+    g = [[2 * dprime] + [0] * 8] + [[0, *row] for row in _scaled(e8_cartan(), -2).entries]
+    return IntegerLattice(f"Msplit:2d'={2 * dprime}", IntMatrix(g), ("M",) + _E_NAMES)
+
+
+def l_frame_d(ns: IntegerLattice) -> Optional[int]:
+    """d (L^2 = 2d) of the L-type split frame ns lives over, or None."""
+    root = ns.root()
+    if root.rank == 9 and root.name.startswith("Lsplit"):
+        return root.gram[0, 0] // 2
+    return None
 
 
 # --- family descriptors ------------------------------------------------------
@@ -116,8 +148,55 @@ KIND_L = "L"
 KIND_LPRIME = "L'"
 KIND_M = "M"
 KIND_MPRIME = "M'"
+KINDS = (KIND_L, KIND_LPRIME, KIND_M, KIND_MPRIME)
 
 _FAMILY_RE = re.compile(r"^(L'|L|M'|M):(2d'?)=(\d+)$")
+
+
+class _Side(NamedTuple):
+    """What the unglued family of a split frame and its glued kind share."""
+
+    key: str  # the label's parameter: 2d or 2d'
+    root: Callable[[int], IntegerLattice]
+    generator: tuple[str, str]  # name of the first basis vector: unglued, glued
+    body: tuple[tuple[int, ...], ...]  # the other eight basis rows, doubled
+    body_names: tuple[str, ...]
+    glues: tuple[tuple[int, ...], tuple[int, ...]]  # glue indices, parameter 2 or 0 mod 4
+    twos: int  # Z/2 summands of the unglued discriminant group
+    parity: str  # why the glued kind needs an even parameter
+
+
+_SIDES = {
+    "L": _Side(
+        "2d", split_root_l, ("L", "g"), tuple(map(tuple, _nikulin_rows(9, 1))), _N_NAMES,
+        ((1, 2), (1, 2, 3, 4)), 6, "no overlattice exists for L':2d={}: L^2 = 2 mod 4",
+    ),
+    "M": _Side(
+        "2d'", split_root_m, ("M", "gM"),
+        tuple(tuple(2 if j == i else 0 for j in range(9)) for i in range(1, 9)), _E_NAMES,
+        ((1,), (1, 3)), 8, "M':2d'={} violates its parity constraint: M^2 = 0 mod 4 required",
+    ),
+}
+
+
+def family_label(kind: str, parameter: int) -> str:
+    """The label of a kind at a parameter, whether or not the family exists."""
+    return f"{kind}:{_SIDES[kind[0]].key}={2 * parameter}"
+
+
+def parity_violation(kind: str, parameter: int) -> Optional[str]:
+    """Why no family of this kind exists at this parameter, or None."""
+    if kind.endswith("'") and parameter % 2:
+        return _SIDES[kind[0]].parity.format(2 * parameter)
+    return None
+
+
+@cache
+def discriminant_factors(kind: str, parameter: int) -> tuple[int, ...]:
+    """Z/2d + (Z/2)^k by the classification lemma: k = 6 for L, 8 for M, two
+    fewer when glued.  Defined also where the parity rule fails."""
+    side = _SIDES[kind[0]]
+    return group_from_factors((2 * parameter,) + (2,) * (side.twos - 2 * kind.endswith("'")))
 
 
 @dataclass(frozen=True)
@@ -128,26 +207,39 @@ class NSFamily:
     parameter: int
 
     def __post_init__(self):
-        if self.kind not in (KIND_L, KIND_LPRIME, KIND_M, KIND_MPRIME):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.parameter <= 0:
             raise ValueError("family parameter must be a positive integer")
-        if self.kind == KIND_LPRIME and self.parameter % 2 != 0:
-            raise ValueError(
-                f"no overlattice exists for L':2d={2 * self.parameter}: L^2 = 2 mod 4"
-            )
-        if self.kind == KIND_MPRIME and self.parameter % 2 != 0:
-            raise ValueError(
-                f"M':2d'={2 * self.parameter} violates its parity constraint: M^2 = 0 mod 4 required"
-            )
+        reason = parity_violation(self.kind, self.parameter)
+        if reason:
+            raise ValueError(reason)
+
+    @property
+    def side(self) -> str:
+        return self.kind[0]
+
+    @property
+    def glued(self) -> bool:
+        return self.kind.endswith("'")
 
     def label(self) -> str:
-        if self.kind in (KIND_L, KIND_LPRIME):
-            return f"{self.kind}:2d={2 * self.parameter}"
-        return f"{self.kind}:2d'={2 * self.parameter}"
+        return family_label(self.kind, self.parameter)
 
     def __str__(self):
         return self.label()
+
+    def partner(self) -> NSFamily:
+        """Other side, other glue state: L_{2d} <-> M'_{4d}, L'_{4d'} <-> M_{2d'}."""
+        other = KIND_M if self.side == KIND_L else KIND_L
+        if self.glued:
+            return NSFamily(other, self.parameter // 2)
+        return NSFamily(other + "'", 2 * self.parameter)
+
+
+def families_for(parameter: int) -> list[NSFamily]:
+    """Every family that exists at this parameter, in KINDS order."""
+    return [NSFamily(k, parameter) for k in KINDS if not parity_violation(k, parameter)]
 
 
 def parse_family(text: str) -> NSFamily:
@@ -155,106 +247,52 @@ def parse_family(text: str) -> NSFamily:
 
 
 def parse_family_syntax(text: str) -> tuple[str, int]:
-    """(kind, parameter) of a family label, before the parity constraints."""
+    """(kind, parameter) of a family label, before the parity rule."""
     m = _FAMILY_RE.match(text.strip())
     if not m:
         raise ValueError(
             f"malformed family {text!r}; expected e.g. L:2d=8, L':2d=8, M:2d'=4, M':2d'=8"
         )
-    kind, param_key, value = m.group(1), m.group(2), m.group(3)
-    if kind in (KIND_L, KIND_LPRIME) and param_key != "2d":
-        raise ValueError(f"{kind} families use the parameter 2d, not {param_key}")
-    if kind in (KIND_M, KIND_MPRIME) and param_key != "2d'":
-        raise ValueError(f"{kind} families use the parameter 2d', not {param_key}")
+    kind, param_key, value = m.groups()
+    key = _SIDES[kind[0]].key
+    if param_key != key:
+        raise ValueError(f"{kind} families use the parameter {key}, not {param_key}")
     subscript = int(value)
     if subscript <= 0 or subscript % 2 != 0:
         raise ValueError(f"family subscript must be a positive even integer, got {subscript}")
     return kind, subscript // 2
 
 
+def glue_indices(family: NSFamily) -> tuple[int, ...]:
+    """Indices i of the glue class (X - sum x_i)/2 that glues the family's
+    side at its parameter: x_i = N_i for X = L, e_i for X = M."""
+    if family.parameter % 2:
+        raise ValueError(f"no glue exists for odd d = {family.parameter}")
+    return _SIDES[family.side].glues[family.parameter % 4 == 0]
+
+
 # --- construction ------------------------------------------------------------
-
-
-_ROOT_CACHE: dict[str, IntegerLattice] = {}
-
-
-def split_root_l(d: int) -> IntegerLattice:
-    """Reference frame ZL + <-2>^8 with orthogonal basis (L, N1..N8)."""
-    if d <= 0:
-        raise ValueError("d must be positive")
-    name = f"Lsplit:2d={2 * d}"
-    if name not in _ROOT_CACHE:
-        names = ("L",) + tuple(f"N{i}" for i in range(1, 9))
-        _ROOT_CACHE[name] = IntegerLattice(
-            name, IntMatrix.diagonal([2 * d] + [-2] * 8), names
-        )
-    return _ROOT_CACHE[name]
-
-
-def split_root_m(dprime: int) -> IntegerLattice:
-    name = f"Msplit:2d'={2 * dprime}"
-    if name not in _ROOT_CACHE:
-        names = ("M",) + tuple(f"e{i}" for i in range(1, 9))
-        g = [[0] * 9 for _ in range(9)]
-        g[0][0] = 2 * dprime
-        e8m2 = _scaled(e8_cartan(), -2).entries
-        for i in range(8):
-            for j in range(8):
-                g[1 + i][1 + j] = e8m2[i][j]
-        _ROOT_CACHE[name] = IntegerLattice(name, IntMatrix(g), names)
-    return _ROOT_CACHE[name]
 
 
 def nikulin_sublattice(ns: IntegerLattice) -> IntegerLattice:
     """Copy of N inside the split root frame of an L-type lattice."""
-    root = ns.root()
-    if not root.name.startswith("Lsplit"):
+    if l_frame_d(ns) is None:
         raise ValueError(f"{ns.name} does not live over a split L frame")
-    return _nikulin_in_split(root, offset=1)
+    return IntegerLattice.framed("N", ns.root(), _SIDES["L"].body, _N_NAMES, s=2)
 
 
-def canonical_glue_support(d: int) -> tuple[int, ...]:
-    if d % 2 != 0:
-        raise ValueError(f"no glue exists for odd d = {d}")
-    return (1, 2) if d % 4 == 2 else (1, 2, 3, 4)
-
-
-def _l_family(d: int) -> IntegerLattice:
-    root = split_root_l(d)
-    rows = [[2] + [0] * 8] + _nikulin_rows(9, 1)
-    return IntegerLattice.framed(f"L:2d={2 * d}", root, rows, ("L",) + _N_NAMES, s=2)
-
-
-def _lprime_family(d: int) -> IntegerLattice:
-    support = canonical_glue_support(d)
-    root = split_root_l(d)
-    glue_row = [1] + [-1 if (i + 1) in support else 0 for i in range(8)]
-    rows = [glue_row] + _nikulin_rows(9, 1)
-    return IntegerLattice.framed(f"L':2d={2 * d}", root, rows, ("g",) + _N_NAMES, s=2)
-
-
-def _m_family(dprime: int) -> IntegerLattice:
-    root = split_root_m(dprime)
-    rows = [[1 if i == j else 0 for j in range(9)] for i in range(9)]
-    names = ("M",) + tuple(f"e{i}" for i in range(1, 9))
-    return IntegerLattice.framed(f"M:2d'={2 * dprime}", root, rows, names)
-
-
-def mprime_glue_indices(dprime: int) -> tuple[int, ...]:
-    """E8(-2) basis indices entering the M' glue class (M - sum e_i)/2."""
-    n = dprime // 2
-    return (1,) if n % 2 == 1 else (1, 3)
-
-
-def _mprime_family(dprime: int) -> IntegerLattice:
-    root = split_root_m(dprime)
-    idx = mprime_glue_indices(dprime)
-    glue_row = [1] + [-1 if (i + 1) in idx else 0 for i in range(8)]
-    rows = [glue_row]
-    for i in range(8):
-        rows.append([0] + [2 if j == i else 0 for j in range(8)])
-    names = ("gM",) + tuple(f"e{i}" for i in range(1, 9))
-    return IntegerLattice.framed(f"M':2d'={2 * dprime}", root, rows, names, s=2)
+def _family_lattice(family: NSFamily) -> IntegerLattice:
+    """The family's basis over its split frame: X or the glue class, then B's rows."""
+    side = _SIDES[family.side]
+    if family.glued:
+        idx = glue_indices(family)
+        first = [1] + [-1 if i in idx else 0 for i in range(1, 9)]
+    else:
+        first = [2] + [0] * 8
+    names = (side.generator[family.glued],) + side.body_names
+    return IntegerLattice.framed(
+        family.label(), side.root(family.parameter), [first, *side.body], names, s=2
+    )
 
 
 _NAMED = {
@@ -275,33 +313,12 @@ def make(which: Union[str, NSFamily]) -> IntegerLattice:
     Lattices are immutable, so results are memoized; repeated calls share
     one object (and hence one root frame) per label.
     """
-    if isinstance(which, NSFamily):
-        key = which.label()
-    else:
-        key = which
-    cached = _MAKE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(which, str):
-        if which in _NAMED:
-            lat = _NAMED[which]()
-            _MAKE_CACHE[key] = lat
-            return lat
-        which = parse_family(which)
-    if which.kind == KIND_L:
-        lat = _l_family(which.parameter)
-    elif which.kind == KIND_LPRIME:
-        lat = _lprime_family(which.parameter)
-    elif which.kind == KIND_M:
-        lat = _m_family(which.parameter)
-    else:
-        lat = _mprime_family(which.parameter)
-    _MAKE_CACHE[key] = lat
+    key = which.label() if isinstance(which, NSFamily) else which
+    lat = _MAKE_CACHE.get(key)
+    if lat is None:
+        lat = _NAMED[key]() if key in _NAMED else _family_lattice(parse_family(key))
+        _MAKE_CACHE[key] = lat
     return lat
-
-
-def family_of(ns: IntegerLattice) -> NSFamily:
-    return parse_family(ns.name)
 
 
 # --- glue vectors and overlattices ------------------------------------------
@@ -323,15 +340,8 @@ class GlueVector:
         if len(self.support) % 2 != 0:
             raise ValueError("support size must be even")
 
-    @property
-    def norm(self) -> int:
-        return -2 * len(self.support)
-
     def sorted_support(self) -> tuple[int, ...]:
         return tuple(sorted(self.support))
-
-    def vector(self, root: IntegerLattice) -> FrameVector:
-        return root.vector([0] + [1 if i in self.support else 0 for i in range(1, 9)])
 
     def glue_class(self, root: IntegerLattice) -> FrameVector:
         """The adjoined class (L + v)/2 in the split root frame."""
@@ -384,14 +394,14 @@ def glue_pairings(base: IntegerLattice, glue: FrameVector) -> tuple[list[int], i
     return [sum(map(mul, row, gx)) for row in rows], dx * s, sum(map(mul, xi, gx)), dx * dx
 
 
-def admissible_glues(d: int) -> list[list[GlueVector]]:
+def glue_classes(d: int) -> list[list[GlueVector]]:
     """All admissible glue vectors for L^2 = 2d, grouped into equivalence classes.
 
-    The scan runs over all 2^8 supports; each survivor is validated by the
-    direct pairing checks.  Grouping uses the two equivalence mechanisms of
-    the uniqueness proof (support size and complement); one representative
-    pair per size combination is verified against literal overlattice
-    equality through glue_equivalent.
+    The scan runs over all 2^8 supports; callers validate each survivor.
+    Grouping uses the two equivalence mechanisms of the uniqueness proof
+    (support size and complement); one representative pair per size
+    combination is verified against literal overlattice equality through
+    glue_equivalent.
     """
     if d <= 0:
         raise ValueError("d must be positive")
@@ -402,10 +412,6 @@ def admissible_glues(d: int) -> list[list[GlueVector]]:
     ]
     found = [GlueVector(s) for s in supports if glue_admissible(d, GlueVector(s))]
     found.sort(key=lambda g: (len(g.support), g.sorted_support()))
-    base = make(NSFamily(KIND_L, d))
-    root = base.root()
-    for g in found:
-        validate_glue(base, g.glue_class(root))
     classes: list[list[GlueVector]] = []
     verified_pairs: set[tuple[int, int]] = set()
     for g in found:
@@ -421,6 +427,17 @@ def admissible_glues(d: int) -> list[list[GlueVector]]:
                 break
         else:
             classes.append([g])
+    return classes
+
+
+def admissible_glues(d: int) -> list[list[GlueVector]]:
+    """glue_classes(d), each glue validated by the direct pairing checks."""
+    classes = glue_classes(d)
+    base = make(NSFamily(KIND_L, d))
+    root = base.root()
+    for cls in classes:
+        for g in cls:
+            validate_glue(base, g.glue_class(root))
     return classes
 
 
@@ -532,9 +549,9 @@ def anti_diagonal_e8(k3: IntegerLattice) -> IntegerLattice:
 def k3_embedding(family: NSFamily) -> K3EmbeddingRecord:
     """Explicit primitive embedding of an M' family into the K3 lattice.
 
-    Realizes M = (2u, alpha, alpha) with u = e1 + ((n+1)/2) f1 for odd n and
-    u = e1 + (n/2 + 1) f1 for even n, alpha of square -2 (n odd) or -4
-    (n even), v = (0, alpha, -alpha) and the glue (M + v)/2 = (u, alpha, 0).
+    Realizes M = (2u, alpha, alpha) with u = e1 + (n//2 + 1) f1, alpha the
+    sum of the roots a_i over the M' glue indices (square -2 for odd n, -4
+    for even n), v = (0, alpha, -alpha) and the glue (M + v)/2 = (u, alpha, 0).
     Only the M' families are constructed this way; the other kinds raise.
     """
     if family.kind != KIND_MPRIME:
@@ -542,20 +559,18 @@ def k3_embedding(family: NSFamily) -> K3EmbeddingRecord:
             f"{family}: the explicit K3 embedding is constructed for M' families only"
         )
     n = family.parameter // 2
+    k = n // 2 + 1
+    idx = glue_indices(family)
+    alpha_coeffs = [1 if i in idx else 0 for i in range(1, 9)]
     k3 = k3_lattice()
-    if n % 2 == 1:
-        k = (n + 1) // 2
-        alpha_coeffs = [1] + [0] * 7  # basis root a1, square -2
-    else:
-        k = n // 2 + 1
-        alpha_coeffs = [1, 0, 1] + [0] * 5  # a1 + a3 (non-adjacent), square -4
     u = k3.vector([1, k] + [0] * 20)
     alpha = k3.vector([0] * 6 + alpha_coeffs + [0] * 8)
     m_vec = k3.vector([2, 2 * k] + [0] * 4 + alpha_coeffs + alpha_coeffs)
     v_vec = k3.vector([0] * 6 + alpha_coeffs + [-a for a in alpha_coeffs])
     glue = (m_vec + v_vec) / 2
     m_sq = inner(m_vec, m_vec)
-    assert m_sq == 4 * n, f"M^2 = {m_sq}, expected {4 * n}"
+    if m_sq != 4 * n:
+        raise RuntimeError(f"M^2 = {m_sq}, expected {4 * n}")
     glue_row, sg = glue.root_scaled()
     anti_rows, sa = anti_diagonal_e8(k3).basis_in_root_scaled()
     rows = [[sa * x for x in glue_row]] + [[sg * x for x in r] for r in anti_rows]
@@ -601,9 +616,9 @@ def parse_divisor(ns: IntegerLattice, text: str) -> FrameVector:
     if raw.startswith("(") and raw.endswith(")"):
         raw = raw[1:-1]
     root = ns.root()
-    if not root.name.startswith("Lsplit"):
+    if l_frame_d(ns) is None:
         raise ValueError(f"divisor expressions are defined over L-type frames, not {root.name}")
-    family = family_of(ns)
+    family = parse_family(ns.name)
     coeffs = [0] * 9  # twice the split-frame coefficients
     pos = 0
     first = True
@@ -642,22 +657,18 @@ def _symbol_coeffs(family: NSFamily, sym: str) -> list[int]:
     if sym in ("L1", "L2"):
         if family.kind != KIND_LPRIME:
             raise ValueError(f"{sym} is only defined on L' families, not {family}")
-        half = family.parameter // 2
-        if half % 2 == 1:
-            first, second = (1, 2), (3, 4, 5, 6, 7, 8)
-        else:
-            first, second = (1, 2, 3, 4), (5, 6, 7, 8)
-        support = first if sym == "L1" else second
+        # L1 is the glue class, L2 = L - Nhat - L1 the complementary one
+        first = glue_indices(family)
         out[0] = 1
-        for i in support:
-            out[i] = -1
+        for i in range(1, 9):
+            if (i in first) == (sym == "L1"):
+                out[i] = -1
         return out
     raise ValueError(f"unknown divisor symbol {sym}")
 
 
 def canonical_octet(ns: IntegerLattice) -> list[FrameVector]:
     """The classes N1..N8 in ns's root frame."""
-    root = ns.root()
-    if not root.name.startswith("Lsplit"):
+    if l_frame_d(ns) is None:
         raise ValueError(f"{ns.name} does not have a canonical octet")
-    return [root.basis_vector(i) for i in range(1, 9)]
+    return [ns.root().basis_vector(i) for i in range(1, 9)]

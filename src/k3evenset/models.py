@@ -13,25 +13,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
 from importlib import resources
 from typing import Optional, Sequence
 
 from .exactlin import IntMatrix
 from .lattice import FrameVector, IntegerLattice, inner, isometry_from_basis_map
 from .families import (
-    KIND_L,
-    KIND_LPRIME,
-    KIND_M,
-    KIND_MPRIME,
     NSFamily,
     canonical_octet,
+    discriminant_factors,
     make,
     parse_divisor,
     parse_family,
     parse_family_syntax,
+    parity_violation,
 )
-from .disc import discriminant_group, group_from_factors
+from .disc import discriminant_group
 from .positivity import (
     STATUS_AMPLE,
     STATUS_NOT_NEF,
@@ -134,7 +131,7 @@ def model_descriptor(family: NSFamily | str, polarization: str) -> ProjectiveMod
     """Projective-model data of one polarization, from lattice computations only."""
     if isinstance(family, str):
         family = parse_family(family)
-    if family.kind not in (KIND_L, KIND_LPRIME):
+    if family.side != "L":
         raise ValueError(f"{family}: model descriptors are computed on the even-set side")
     ns = make(family)
     if "x" in polarization:
@@ -240,23 +237,28 @@ def table1_families() -> list[str]:
     return [row["family"] for row in table1_golden()["rows"]]
 
 
+def _golden_rows(family: NSFamily | str | None) -> list[dict]:
+    """The golden rows of one family (a label is parsed), or all for None."""
+    rows = table1_golden()["rows"]
+    if family is None:
+        return rows
+    label = (parse_family(family) if isinstance(family, str) else family).label()
+    rows = [r for r in rows if r["family"] == label]
+    if not rows:
+        raise ValueError(f"{label} is not tabulated")
+    return rows
+
+
 def table1(family: NSFamily | str) -> list[ProjectiveModelDescriptor]:
     """Recompute the table row of a family (error when not tabulated)."""
-    if isinstance(family, str):
-        family = parse_family(family)
-    label = family.label()
-    for row in table1_golden()["rows"]:
-        if row["family"] == label:
-            out = []
-            for entry in row["models"]:
-                desc = model_descriptor(family, entry["polarization"])
-                out.append(
-                    ProjectiveModelDescriptor(
-                        **{**desc.__dict__, "text": entry.get("text")}
-                    )
-                )
-            return out
-    raise ValueError(f"{label} is not tabulated")
+    out = []
+    for row in _golden_rows(family):
+        for entry in row["models"]:
+            desc = model_descriptor(row["family"], entry["polarization"])
+            out.append(
+                ProjectiveModelDescriptor(**{**desc.__dict__, "text": entry.get("text")})
+            )
+    return out
 
 
 def verify_table1(family: NSFamily | str | None = None) -> list[dict]:
@@ -266,15 +268,8 @@ def verify_table1(family: NSFamily | str | None = None) -> list[dict]:
     "ok", "computed", "expected"}; also checks the partner family and its
     ambient dimension through the correspondence.
     """
-    golden = table1_golden()
-    rows = golden["rows"]
-    if family is not None:
-        label = family if isinstance(family, str) else family.label()
-        rows = [r for r in rows if r["family"] == label]
-        if not rows:
-            raise ValueError(f"{label} is not tabulated")
     reports = []
-    for row in rows:
+    for row in _golden_rows(family):
         fam = parse_family(row["family"])
         partner = ns_correspondence(fam)
         partner_dim = partner.parameter + 1  # h0(M) - 1 = d' + 1
@@ -317,51 +312,13 @@ def ns_correspondence(family: NSFamily | str) -> NSFamily:
     """
     if isinstance(family, str):
         family = parse_family(family)
-    if family.kind == KIND_L:
-        return NSFamily(KIND_MPRIME, 2 * family.parameter)
-    if family.kind == KIND_LPRIME:
-        if family.parameter % 2 != 0:
-            raise ValueError("invalid L' parameter")
-        return NSFamily(KIND_M, family.parameter // 2)
-    if family.kind == KIND_M:
-        return NSFamily(KIND_LPRIME, 2 * family.parameter)
-    return NSFamily(KIND_L, family.parameter // 2)
+    return family.partner()
 
 
 @dataclass(frozen=True)
 class DistinctnessReport:
     kind: str  # "compatible" | "distinct_by_group" | "same_group_but_constraint"
     detail: str
-
-
-@cache
-def _formula_group(kind: str, parameter: int) -> tuple[int, ...]:
-    """Discriminant group of a family by the classification lemma."""
-    two_d = 2 * parameter
-    if kind == KIND_L:
-        return group_from_factors((two_d,) + (2,) * 6)
-    if kind == KIND_LPRIME:
-        return group_from_factors((two_d,) + (2,) * 4)
-    if kind == KIND_M:
-        return group_from_factors((two_d,) + (2,) * 8)
-    return group_from_factors((two_d,) + (2,) * 6)
-
-
-def _family_spec(f) -> tuple[str, int, Optional[str]]:
-    """(kind, parameter, invalid-reason) without rejecting bad parameters."""
-    if isinstance(f, NSFamily):
-        return f.kind, f.parameter, None
-    kind, parameter = parse_family_syntax(str(f))
-    reason = None
-    if kind == KIND_LPRIME and parameter % 2 != 0:
-        reason = f"L':2d={2*parameter} requires even d (L^2 = 0 mod 4); d = {parameter} is odd"
-    if kind == KIND_MPRIME and parameter % 2 != 0:
-        reason = f"M':2d'={2*parameter} violates its parity constraint (d' = {parameter} odd)"
-    return kind, parameter, reason
-
-
-def _computed_group(kind: str, parameter: int) -> tuple[int, ...]:
-    return discriminant_group(make(NSFamily(kind, parameter))).invariant_factors
 
 
 def families_distinct(f1, f2) -> DistinctnessReport:
@@ -372,20 +329,19 @@ def families_distinct(f1, f2) -> DistinctnessReport:
     constraint on the L_{2d} / M'_{2d} pair (d = 0 mod 4) verbatim rather
     than resolving the boundary case.
     """
-    k1, p1, bad1 = _family_spec(f1)
-    k2, p2, bad2 = _family_spec(f2)
+    (k1, p1), (k2, p2) = parse_family_syntax(str(f1)), parse_family_syntax(str(f2))
+    bad1, bad2 = parity_violation(k1, p1), parity_violation(k2, p2)
     if (k1, p1) == (k2, p2):
         if bad1:
             return DistinctnessReport("same_group_but_constraint", bad1)
         return DistinctnessReport("compatible", "identical families")
-    g1 = _formula_group(k1, p1)
-    g2 = _formula_group(k2, p2)
-    for kind, parameter, bad in ((k1, p1, bad1), (k2, p2, bad2)):
+    g1 = discriminant_factors(k1, p1)
+    g2 = discriminant_factors(k2, p2)
+    for kind, parameter, bad, g in ((k1, p1, bad1, g1), (k2, p2, bad2, g2)):
         if bad is None:
-            if _computed_group(kind, parameter) != _formula_group(kind, parameter):
-                raise RuntimeError(
-                    f"computed group of {kind}:{2*parameter} deviates from the lemma"
-                )
+            family = NSFamily(kind, parameter)
+            if discriminant_group(make(family)).invariant_factors != g:
+                raise RuntimeError(f"computed group of {family} deviates from the lemma")
     if g1 != g2:
         return DistinctnessReport(
             "distinct_by_group", f"invariant factors {list(g1)} vs {list(g2)}"

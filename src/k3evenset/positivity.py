@@ -38,7 +38,7 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .lattice import FrameVector, IntegerLattice, contains, content, inner, vector_to_json
-from .families import canonical_octet
+from .families import canonical_octet, l_frame_d
 
 STATUS_AMPLE = "ample"
 STATUS_PSEUDO_AMPLE = "pseudo_ample"
@@ -81,8 +81,8 @@ def _family_frame(ns: IntegerLattice) -> tuple[int, int]:
     Raises unless the reduced basis denominator is 1 or 2, which is what
     puts every root coordinate of ns in Z/2.
     """
-    root = ns.root()
-    if not root.name.startswith("Lsplit") or root.rank != 9:
+    d = l_frame_d(ns)
+    if d is None:
         raise ValueError(
             f"{ns.name}: root search bounds are family-specific; expected an L-type split frame"
         )
@@ -92,7 +92,7 @@ def _family_frame(ns: IntegerLattice) -> tuple[int, int]:
             f"{ns.name}: root search needs root coordinates in Z/2; "
             f"the basis has denominator {s}"
         )
-    return root.gram[0, 0] // 2, s // gcd(s, *(row[0] for row in b))
+    return d, s // gcd(s, *(row[0] for row in b))
 
 
 def _half_coords(divisor: FrameVector) -> tuple[int, list[int]]:

@@ -188,6 +188,28 @@ def test_table1_unknown_family(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("label", ["L:2d=04", " L:2d=4"])
+def test_table1_reads_its_label_through_parse_family(capsys, label):
+    assert run_cli(capsys, "table1", label) == run_cli(capsys, "table1", "L:2d=4")
+    code, out, _ = run_cli(capsys, "--format", "json", "table1", label)
+    assert code == 0
+    assert {r["family"] for r in json.loads(out)["rows"]} == {"L:2d=4"}
+
+
+@pytest.mark.parametrize("cmd", ["table1", "disc"])
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("L:2d=7", "family subscript must be a positive even integer, got 7"),
+        ("L':2d=6", "no overlattice exists for L':2d=6: L^2 = 2 mod 4"),
+        ("L:2d'=4", "L families use the parameter 2d, not 2d'"),
+        ("", "malformed family ''; expected e.g. L:2d=8, L':2d=8, M:2d'=4, M':2d'=8"),
+    ],
+)
+def test_table1_gives_the_family_parser_message(capsys, cmd, label, message):
+    assert run_cli(capsys, cmd, label) == (2, "", f"error: {message}\n")
+
+
 def test_correspond(capsys):
     code, out, _ = run_cli(capsys, "correspond", "L:2d=6")
     assert code == 0

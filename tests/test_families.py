@@ -1,19 +1,24 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from k3evenset import acceptance, families
 from k3evenset.acceptance import criterion_glue_classification
-from k3evenset.disc import discriminant_group
+from k3evenset.disc import disc_report_json, discriminant_group
 from k3evenset.exactlin import Signature, det, signature
 from k3evenset.families import (
     GlueVector,
     NSFamily,
     admissible_glues,
     anti_diagonal_e8,
-    canonical_glue_support,
+    canonical_octet,
+    families_for,
     glue_equivalent,
+    glue_indices,
     glue_pairings,
     k3_embedding,
     k3_lattice,
@@ -48,6 +53,12 @@ def test_lprime_requires_even_d():
 def test_mprime_requires_even_dprime():
     with pytest.raises(ValueError, match="parity"):
         NSFamily("M'", 3)
+
+
+def test_families_for_lists_the_kinds_that_exist():
+    # criteria 1 and 8 check every family families_for gives
+    assert [str(f) for f in families_for(3)] == ["L:2d=6", "M:2d'=6"]
+    assert [str(f) for f in families_for(4)] == ["L:2d=8", "L':2d=8", "M:2d'=8", "M':2d'=8"]
 
 
 def test_make_l4():
@@ -147,7 +158,7 @@ def test_complement_gives_same_point_set():
 def test_overlattice_matches_make_lprime():
     for d in (2, 4, 6, 8):
         base = make(f"L:2d={2*d}")
-        glue = GlueVector(frozenset(canonical_glue_support(d))).glue_class(base.root())
+        glue = GlueVector(frozenset(glue_indices(NSFamily("L", d)))).glue_class(base.root())
         over = overlattice(base, glue)
         assert same_lattice(over, make(f"L':2d={2*d}"))
         assert abs(det(over.gram)) * 4 == abs(det(base.gram))
@@ -249,7 +260,7 @@ def test_parse_divisor_errors():
 def test_canonical_overlattice_frame_is_pinned():
     # recorded before frames took integer rows over one denominator
     base = make("L:2d=8")
-    glue = GlueVector(frozenset(canonical_glue_support(4))).glue_class(base.root())
+    glue = GlueVector(frozenset(glue_indices(NSFamily("L", 4)))).glue_class(base.root())
     two = [["2" if j == i else "0" for j in range(9)] for i in range(1, 9)]
     assert lattice_to_json(overlattice(base, glue))["frame"] == {
         "parent": "L:2d=8",
@@ -347,3 +358,65 @@ def test_parse_divisor_builds_no_fraction(monkeypatch):
         [h, -h, -h] + [0] * 6,  # d = 6: L1 = (L - N1 - N2)/2
     ]
     assert [list(v.root_coords()) for v in vectors] == want
+
+
+def _family_layer_records():
+    """Every valid family label with 2d <= 120 as its lattice and discriminant
+    JSON, each invalid one as its parity message, then the family errors the
+    CLI shows.  Labels are spelled here, not by the package's formatter."""
+
+    def error(work):
+        with pytest.raises(ValueError) as exc:
+            work()
+        return str(exc.value)
+
+    for two_d in range(2, 121, 2):
+        for kind, key in (("L", "2d"), ("L'", "2d"), ("M", "2d'"), ("M'", "2d'")):
+            label = f"{kind}:{key}={two_d}"
+            try:
+                lat = make(parse_family(label))
+            except ValueError as exc:
+                yield label, str(exc)
+                continue
+            yield label, lattice_to_json(lat), disc_report_json(discriminant_group(lat))
+    for label in ("L:2d'=4", "L':2d'=8", "M:2d=4", "M':2d=8"):
+        yield label, error(lambda: parse_family(label))
+    for label in ("M:2d'=4", "M':2d'=8"):
+        yield label, error(lambda: canonical_octet(make(label)))
+        yield label, error(lambda: parse_divisor(make(label), "L"))
+    for sym in ("L1", "L2"):
+        yield sym, error(lambda: parse_divisor(make("L:2d=8"), sym))
+
+
+def test_family_layer_digest_is_pinned():
+    # recorded before the four family constructors became one descriptor
+    digest = hashlib.sha256()
+    records = 0
+    for record in _family_layer_records():
+        digest.update(json.dumps(record, sort_keys=True).encode())
+        records += 1
+    assert records == 250
+    assert digest.hexdigest() == "78f7ecbc9588026aff1a6a754993073ac5f977a7c88fd600999c437dbda50804"
+
+
+def test_criterion_2_validates_each_glue_once(monkeypatch):
+    calls = {"validate_glue": 0, "overlattice": 0}
+
+    def counted(name):
+        original = getattr(families, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for module in (families, acceptance):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+
+    counted("validate_glue")
+    counted("overlattice")
+    result = criterion_glue_classification(12)
+    assert result.failures == []
+    # one per glue (378), plus those glue_equivalent compares
+    assert calls["overlattice"] >= 378
+    assert calls["validate_glue"] == calls["overlattice"]

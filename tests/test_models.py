@@ -155,6 +155,16 @@ def test_families_distinct_reports():
     assert "excluded" in rep.detail
 
 
+@pytest.mark.parametrize("label", ["L':2d=6", "M':2d'=6"])
+def test_families_distinct_reports_the_family_parity_message(label):
+    with pytest.raises(ValueError) as exc:
+        parse_family(label)
+    assert families_distinct(label, label).detail == str(exc.value)
+    if label.startswith("M"):
+        detail = families_distinct("L:2d=6", label).detail
+        assert detail == f"same-group candidate excluded: {exc.value}"
+
+
 def test_sufficient_conditions_all_verified():
     results = sufficient_condition_lattices()
     assert len(results) == 9
