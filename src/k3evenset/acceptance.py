@@ -410,7 +410,8 @@ def criterion_properties(dmax: int = 12, matrices: int = 1000) -> CriterionResul
             if signature(g) != signature(u.transpose().mul(g).mul(u)):
                 failures.append(f"signature trial {trial}: congruence invariance broken")
                 break
-        # solve_integral: solutions verified exactly; None confirmed by brute force
+        # solve_integral: solutions verified exactly; "no solution" by its
+        # certificate, which rules out an integral x anywhere, not only in a box
         rng3 = random.Random(41)
         for trial in range(200):
             rows = rng3.randint(1, 3)
@@ -419,14 +420,14 @@ def criterion_properties(dmax: int = 12, matrices: int = 1000) -> CriterionResul
                 [[rng3.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
             )
             b = [rng3.randint(-5, 5) for _ in range(rows)]
-            got = solve_integral(a, b)
+            got, cert = solve_integral(a, b)
             if got is not None:
                 ax = [sum(r * x for r, x in zip(row, got)) for row in a.entries]
                 if ax != list(b):
                     failures.append(f"solve trial {trial}: returned non-solution")
                     break
-            elif _brute_solve(a, b, radius=25) is not None:
-                failures.append(f"solve trial {trial}: missed an integral solution")
+            elif not _certifies_no_solution(a, b, cert):
+                failures.append(f"solve trial {trial}: infeasibility certificate fails")
                 break
         # evenness of every constructed lattice, even-set behaviour
         for d in range(1, dmax + 1):
@@ -476,37 +477,15 @@ def _random_unimodular(rng, n: int) -> IntMatrix:
     return IntMatrix(m)
 
 
-def _brute_solve(a: IntMatrix, b, radius: int):
-    """First x in [-radius, radius]^cols, in lexicographic order, with a x = b.
-
-    An all-zero column leaves its coordinate free, so the first solution
-    puts -radius there; those columns are dropped and put back at the end.
-    In what is left, a row with a nonzero last entry fixes the last
-    coordinate from the others, so only the first cols - 1 coordinates are
-    scanned; the fixed value must be an integer inside the box.  Every
-    equation is checked on the full candidate.
-    """
-    from itertools import product
-
-    keep = [j for j in range(a.cols) if any(row[j] for row in a.entries)]
-    rows = [[row[j] for j in keep] for row in a.entries]
-    box = range(-radius, radius + 1)
-    pivot = next((i for i, row in enumerate(rows) if row[-1] != 0), None) if keep else None
-    for head in product(box, repeat=max(len(keep) - 1, 0)):
-        if pivot is None:
-            y = head
-        else:
-            row = rows[pivot]
-            last, rem = divmod(b[pivot] - sum(r * yi for r, yi in zip(row, head)), row[-1])
-            if rem or not -radius <= last <= radius:
-                continue
-            y = head + (last,)
-        if all(sum(r * yi for r, yi in zip(row, y)) == bb for row, bb in zip(rows, b)):
-            x = [-radius] * a.cols
-            for j, v in zip(keep, y):
-                x[j] = v
-            return tuple(x)
-    return None
+def _certifies_no_solution(a: IntMatrix, b, cert) -> bool:
+    """True when cert = (u, t) proves A x = b has no integral solution:
+    t >= 2, every entry of u A is 0 mod t and u b is not."""
+    u, t = cert or ((), 0)
+    if t < 2 or len(u) != a.rows:
+        return False
+    if any(sum(ui * row[j] for ui, row in zip(u, a.entries)) % t for j in range(a.cols)):
+        return False
+    return sum(ui * bi for ui, bi in zip(u, b)) % t != 0
 
 
 CRITERIA = [

@@ -388,29 +388,35 @@ def signature(g: IntMatrix) -> Signature:
     return Signature(pos, len(pivots) - pos, zero)
 
 
-def solve_integral(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Integer solution of ``A x = b`` or None when no integral one exists.
+def solve_integral(
+    a: IntMatrix, b: Sequence[int]
+) -> tuple[Optional[tuple[int, ...]], Optional[tuple[tuple[int, ...], int]]]:
+    """Integer solution of ``A x = b``, or a certificate that none exists.
 
-    The decision goes through the Smith normal form: with ``L A R = D`` the
-    system becomes ``D y = L b`` with ``x = R y``, and ``D y = c`` is solvable
-    over the integers iff each diagonal entry divides its target and the
-    targets beyond the rank vanish.
+    Returns ``(x, None)`` with ``A x = b``, or ``(None, (u, t))``: an integer
+    row u and t >= 2 dividing every entry of ``u A`` but not ``u b``, which
+    proves that no integral x exists, as ``u b = (u A) x`` would be divisible
+    by t (the integer Farkas lemma, Schrijver, *Theory of Linear and Integer
+    Programming*, Cor. 4.1a, with y = u / t).  With ``L A R = D`` and
+    ``c = L b``, u is row i of L and t = d_i when d_i does not divide c_i, as
+    ``(L A)_i = d_i (R^-1)_i``; past the rank ``(L A)_i = 0``, so c_i != 0
+    gives t = 2 |c_i|.
     """
     b = tuple(int(x) for x in b)
     if len(b) != a.rows:
         raise ValueError("dimension mismatch between matrix and vector")
     snf = smith_normal_form(a)
-    c = [sum(l * x for l, x in zip(row, b)) for row in snf.left.entries]
+    left = snf.left.entries
+    c = [sum(l * x for l, x in zip(row, b)) for row in left]
     y = [0] * a.cols
     for i in range(a.rows):
         d = snf.diag[i] if i < len(snf.diag) else 0
         if d == 0:
             if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            if i < a.cols:
-                y[i] = c[i] // d
+                return None, (left[i], 2 * abs(c[i]))
+        elif c[i] % d != 0:
+            return None, (left[i], d)
+        elif i < a.cols:
+            y[i] = c[i] // d
     x = [sum(r * v for r, v in zip(row, y)) for row in snf.right.entries]
-    return tuple(x)
+    return tuple(x), None

@@ -311,12 +311,18 @@ def make(which: Union[str, NSFamily]) -> IntegerLattice:
     """Build any named lattice or family member in its normative basis.
 
     Lattices are immutable, so results are memoized; repeated calls share
-    one object (and hence one root frame) per label.
+    one object (and hence one root frame) per lattice: every spelling of a
+    family (L:2d=04, L:2d=4) maps to the object of its canonical label.
     """
     key = which.label() if isinstance(which, NSFamily) else which
     lat = _MAKE_CACHE.get(key)
     if lat is None:
-        lat = _NAMED[key]() if key in _NAMED else _family_lattice(parse_family(key))
+        if key in _NAMED:
+            lat = _NAMED[key]()
+        else:
+            family = parse_family(key)
+            lat = _MAKE_CACHE.get(family.label()) or _family_lattice(family)
+            _MAKE_CACHE[family.label()] = lat
         _MAKE_CACHE[key] = lat
     return lat
 

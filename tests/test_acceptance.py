@@ -6,6 +6,7 @@ captured output) and asserts both exactness and the wall-time limit.
 
 import pytest
 
+from k3evenset import acceptance
 from k3evenset.acceptance import (
     criterion_chow,
     criterion_correspondence,
@@ -70,6 +71,31 @@ def test_criterion_7_sufficient_conditions():
 
 def test_criterion_8_property_suites():
     check(criterion_properties())
+
+
+@pytest.mark.parametrize("forge", ["mod-b", "t=1"])
+def test_criterion_8_rejects_forged_certificates(monkeypatch, forge):
+    # call each solvable system with b != 0 unsolvable; whatever (u, t) comes
+    # with that claim, u b = (u A) x makes the check fail
+    real = acceptance.solve_integral
+    forged = 0
+
+    def lying_solve(a, b):
+        nonlocal forged
+        x, cert = real(a, b)
+        i = next((i for i, v in enumerate(b) if v), None)
+        if x is None or i is None:
+            return x, cert
+        forged += 1
+        u = tuple(int(k == i) for k in range(a.rows))
+        # u b = b_i is nonzero mod |b_i| + 1, so only u A can expose the lie
+        return None, (u, abs(b[i]) + 1 if forge == "mod-b" else 1)
+
+    monkeypatch.setattr(acceptance, "solve_integral", lying_solve)
+    result = criterion_properties(dmax=1, matrices=1)
+    assert forged >= 1
+    assert any("infeasibility certificate fails" in f for f in result.failures)
+    assert not result.passed
 
 
 def test_verify_paper_aggregate_matches_cli_contract():

@@ -125,16 +125,18 @@ def test_signature_congruence_invariance():
 
 
 def test_solve_integral_identity():
-    assert solve_integral(IntMatrix.identity(2), (3, 5)) == (3, 5)
+    assert solve_integral(IntMatrix.identity(2), (3, 5)) == ((3, 5), None)
 
 
 def test_solve_integral_parity_obstruction():
-    assert solve_integral(IntMatrix([[2, 0], [0, 2]]), (1, 0)) is None
+    x, (u, t) = solve_integral(IntMatrix([[2, 0], [0, 2]]), (1, 0))
+    assert x is None and t == 2
+    assert u[0] % 2 == 1  # u A = 2 u is even, u b = u_0 is odd
 
 
 def test_solve_integral_brute_force_agreement():
-    # a returned solution must solve the system exactly; a None must be
-    # confirmed by brute force over a box (no integral point there)
+    # a returned solution must solve the system exactly; a certificate (u, t)
+    # must verify, and brute force over a box must find no integral point
     from itertools import product
 
     rng = random.Random(7)
@@ -142,12 +144,17 @@ def test_solve_integral_brute_force_agreement():
         rows, cols = rng.randint(1, 3), rng.randint(1, 3)
         a = IntMatrix([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)])
         b = [rng.randint(-5, 5) for _ in range(rows)]
-        got = solve_integral(a, b)
+        got, cert = solve_integral(a, b)
         if got is not None:
+            assert cert is None
             assert [
                 sum(r * x for r, x in zip(row, got)) for row in a.entries
             ] == list(b)
         else:
+            u, t = cert
+            assert t >= 2
+            assert all(sum(ui * row[j] for ui, row in zip(u, a.entries)) % t == 0 for j in range(cols))
+            assert sum(ui * bi for ui, bi in zip(u, b)) % t != 0
             for x in product(range(-25, 26), repeat=cols):
                 assert any(
                     sum(r * xi for r, xi in zip(row, x)) != bb

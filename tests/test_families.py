@@ -85,6 +85,17 @@ def test_make_is_memoized():
     assert make("L:2d=6") is make("L:2d=6")
 
 
+def test_make_keys_families_by_canonical_label():
+    lat = make("L:2d=04")
+    assert lat is make("L:2d=4") is make(" L:2d=4") is make(NSFamily("L", 2))
+    assert make("M':2d'=8") is make("M':2d'=008")
+    assert make("E8(-2)") is make("E8(-2)")
+    with pytest.raises(ValueError, match="malformed family 'E8'"):
+        make("E8")
+    with pytest.raises(ValueError, match="positive even integer"):
+        make("L:2d=05")
+
+
 def test_family_roots_shared():
     assert make("L:2d=8").root() is make("L':2d=8").root()
 

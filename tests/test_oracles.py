@@ -1,8 +1,10 @@
-"""The acceptance oracles against plain scans written here.
+"""Oracles against plain scans written here, and integer certificates
+against the box scan.
 
 Both oracles skip work (elimination of the last coordinate, pruning of the
 beta recursion); these tests check that they still return exactly what an
-unpruned scan over the same candidate set returns.
+unpruned scan over the same candidate set returns.  `_brute_solve` then
+backs every infeasibility certificate `solve_integral` returns.
 """
 
 import random
@@ -11,10 +13,41 @@ from functools import lru_cache
 from itertools import product
 from math import lcm
 
-from k3evenset.acceptance import _brute_solve, oracle_obstructing_roots
-from k3evenset.exactlin import IntMatrix
+from k3evenset.acceptance import oracle_obstructing_roots
+from k3evenset.exactlin import IntMatrix, solve_integral
 from k3evenset.families import make, parse_divisor
 from k3evenset.lattice import contains, norm
+
+
+def _brute_solve(a: IntMatrix, b, radius: int):
+    """First x in [-radius, radius]^cols, in lexicographic order, with a x = b.
+
+    An all-zero column leaves its coordinate free, so the first solution
+    puts -radius there; those columns are dropped and put back at the end.
+    In what is left, a row with a nonzero last entry fixes the last
+    coordinate from the others, so only the first cols - 1 coordinates are
+    scanned; the fixed value must be an integer inside the box.  Every
+    equation is checked on the full candidate.
+    """
+    keep = [j for j in range(a.cols) if any(row[j] for row in a.entries)]
+    rows = [[row[j] for j in keep] for row in a.entries]
+    box = range(-radius, radius + 1)
+    pivot = next((i for i, row in enumerate(rows) if row[-1] != 0), None) if keep else None
+    for head in product(box, repeat=max(len(keep) - 1, 0)):
+        if pivot is None:
+            y = head
+        else:
+            row = rows[pivot]
+            last, rem = divmod(b[pivot] - sum(r * yi for r, yi in zip(row, head)), row[-1])
+            if rem or not -radius <= last <= radius:
+                continue
+            y = head + (last,)
+        if all(sum(r * yi for r, yi in zip(row, y)) == bb for row, bb in zip(rows, b)):
+            x = [-radius] * a.cols
+            for j, v in zip(keep, y):
+                x[j] = v
+            return tuple(x)
+    return None
 
 
 def plain_solve(a, b, radius):
@@ -55,6 +88,46 @@ def test_brute_solve_matches_plain_scan():
         assert got == plain_solve(a, b, radius), (entries, b, radius)
         solved += got is not None
     assert solved > 500 and zero_last > 500 and zero_middle > 150 and all_zero > 100
+
+
+def certificate_holds(a, b, u, t):
+    """t >= 2 divides every entry of u A but not u b."""
+    ua = [sum(ui * row[j] for ui, row in zip(u, a.entries)) for j in range(a.cols)]
+    ub = sum(ui * bi for ui, bi in zip(u, b))
+    return len(u) == a.rows and t >= 2 and all(v % t == 0 for v in ua) and ub % t != 0
+
+
+def test_solve_integral_certificates_against_box_scan():
+    rng = random.Random(20200611)
+    systems = [(IntMatrix([[1], [1]]), [1, 2]), (IntMatrix([[0, 0]]), [1])]
+    for trial in range(3000):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        entries = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+        if trial % 4 == 1:  # a zero column
+            for row in entries:
+                row[rng.randrange(cols)] = 0
+        elif trial % 4 == 2:  # more rows than rank: repeat a row, scaled
+            first = entries[0]
+            entries = [first] + [[k * x for x in first] for k in rng.sample((-2, -1, 1, 2, 3), rows)]
+        systems.append((IntMatrix(entries), [rng.randint(-5, 5) for _ in range(len(entries))]))
+    solved = divisor_certs = rank_certs = zero_columns = 0
+    for a, b in systems:
+        x, cert = solve_integral(a, b)
+        assert (x is None) != (cert is None), (a.entries, b)
+        if x is not None:
+            assert [sum(r * xi for r, xi in zip(row, x)) for row in a.entries] == b
+            solved += 1
+            continue
+        assert certificate_holds(a, b, *cert), (a.entries, b, cert)
+        assert _brute_solve(a, b, radius=25) is None, (a.entries, b, cert)
+        u, _ = cert
+        # u A = 0 comes from a row past the rank, otherwise from a divisor
+        if any(sum(ui * row[j] for ui, row in zip(u, a.entries)) for j in range(a.cols)):
+            divisor_certs += 1
+        else:
+            rank_certs += 1
+        zero_columns += any(not any(col) for col in zip(*a.entries))
+    assert solved > 600 and divisor_certs > 800 and rank_certs > 1000 and zero_columns > 500
 
 
 @lru_cache(maxsize=None)
