@@ -11,17 +11,14 @@ from .lattice import (
     inner,
     is_primitive,
     isometry_from_basis_map,
-    norm,
-    saturation,
     short_vectors,
 )
-from .disc import DiscriminantGroup, discriminant_form, discriminant_group, groups_isomorphic
+from .disc import DiscriminantGroup, discriminant_form, discriminant_group
 from .families import (
     GlueVector,
     NSFamily,
     admissible_glues,
     glue_equivalent,
-    k3_embedding,
     k3_lattice,
     make,
     overlattice,
@@ -43,18 +40,14 @@ __all__ = [
     "inner",
     "is_primitive",
     "isometry_from_basis_map",
-    "norm",
-    "saturation",
     "short_vectors",
     "DiscriminantGroup",
     "discriminant_form",
     "discriminant_group",
-    "groups_isomorphic",
     "GlueVector",
     "NSFamily",
     "admissible_glues",
     "glue_equivalent",
-    "k3_embedding",
     "k3_lattice",
     "make",
     "overlattice",

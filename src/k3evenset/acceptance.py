@@ -222,8 +222,6 @@ def criterion_positivity(dmax: int = 12) -> CriterionResult:
         for d in range(2, dmax + 1):
             ns = make(f"L:2d={2*d}")
             for r in range(1, min(d, 9)):
-                if r >= d:
-                    continue
                 name = "L-" + "-".join(f"N{i}" for i in range(1, r + 1))
                 rep = _cross_validate(ns, parse_divisor(ns, name), failures, f"L{2*d}:{name}")
                 # pseudo ample means big and nef; for r < 8 some N_j is

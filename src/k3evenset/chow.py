@@ -206,28 +206,3 @@ def parse_ci(text: str) -> CompleteIntersection:
     CompleteIntersection(space, tuple(tup for tup, rep in parts if rep))
     space.surface_check(count)
     return CompleteIntersection(space, tuple(tup for tup, rep in parts for _ in range(rep)))
-
-
-def random_k3_ci(rng, max_factors: int = 3, max_dim: int = 4) -> CompleteIntersection | None:
-    """Random complete intersection satisfying the K3 degree condition.
-
-    Used by the property tests; returns None when the random dimensions
-    admit no valid distribution.
-    """
-    k = rng.randint(1, max_factors)
-    dims = tuple(rng.randint(1, max_dim) for _ in range(k))
-    nhyp = sum(dims) - 2
-    if nhyp < 1:
-        return None
-    cols = []
-    for n in dims:
-        # composition of n+1 into nhyp nonnegative parts
-        total = n + 1
-        parts = [0] * nhyp
-        for _ in range(total):
-            parts[rng.randrange(nhyp)] += 1
-        cols.append(parts)
-    degs = tuple(tuple(col[i] for col in cols) for i in range(nhyp))
-    if any(all(d == 0 for d in deg) for deg in degs):
-        return None
-    return CompleteIntersection(MultiProjSpace(dims), degs)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .exactlin import smith_normal_form
-from .lattice import FrameVector, IntegerLattice, inner
+from .lattice import FrameVector, IntegerLattice, inner, vector_to_json
 
 
 @dataclass(frozen=True)
@@ -60,13 +61,7 @@ def discriminant_form(lat: IntegerLattice, x: FrameVector) -> Fraction:
         p = inner(x, lat.basis_vector(i))
         if p.denominator != 1:
             raise ValueError(f"{x!r} is not in the dual lattice of {lat.name}")
-    q = inner(x, x)
-    return q - 2 * ((q / 2).numerator // (q / 2).denominator)
-
-
-def groups_isomorphic(g1: DiscriminantGroup, g2: DiscriminantGroup) -> bool:
-    """Finite abelian groups are isomorphic iff their factor lists agree."""
-    return g1.invariant_factors == g2.invariant_factors
+    return inner(x, x) % 2
 
 
 def group_from_factors(factors: tuple[int, ...]) -> tuple[int, ...]:
@@ -76,8 +71,6 @@ def group_from_factors(factors: tuple[int, ...]) -> tuple[int, ...]:
     chain, dropping trivial factors.  Spells the classification lemma's groups
     such as Z/2d + (Z/2)^6 independently of the SNF code path.
     """
-    from math import gcd
-
     parts: list[int] = [f for f in factors if f > 1]
     changed = True
     while changed:
@@ -96,8 +89,6 @@ def group_from_factors(factors: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def disc_report_json(group: DiscriminantGroup) -> dict:
-    from .lattice import vector_to_json
-
     return {
         "schema": "k3evenset/1",
         "invariant_factors": [str(f) for f in group.invariant_factors],

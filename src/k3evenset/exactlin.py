@@ -4,12 +4,12 @@ Everything here runs on Python's arbitrary-precision integers; neither
 floating point nor ``fractions.Fraction`` is used anywhere.  The module
 provides the arithmetic substrate for the lattice machinery: fraction-free
 determinants, one Smith normal form with unimodular transforms (used where
-invariant factors or transforms are the answer: discriminant groups,
-saturation, unimodular inverses and integral solving), row Hermite normal
-form with an optional transform (from which the lattice layer builds its
-coordinate solvers and primitivity tests), and one fraction-free symmetric
-elimination, which gives exact signatures of symmetric forms and the
-Fincke-Pohst factorisation of ``lattice.short_vectors``.
+invariant factors or transforms are the answer: discriminant groups and
+integral solving), row Hermite normal form with an optional transform (from
+which the lattice layer builds its coordinate solvers and primitivity
+tests), and one fraction-free symmetric elimination, which gives exact
+signatures of symmetric forms and the Fincke-Pohst factorisation of
+``lattice.short_vectors``.
 """
 
 from __future__ import annotations
@@ -251,19 +251,6 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     diag = tuple(a[i][i] for i in range(n))
     left = IntMatrix._trusted(row[cols:] for row in a)
     return SNFResult(diag, left, IntMatrix._trusted(zip(*right_t)))
-
-
-def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix, over the integers.
-
-    With L*V*R = I in Smith form, V^-1 = R*L; no rational arithmetic needed.
-    """
-    if not m.is_square():
-        raise ValueError("inverse requires a square matrix")
-    snf = smith_normal_form(m)
-    if any(d != 1 for d in snf.diag):
-        raise ValueError("matrix is not unimodular")
-    return snf.right.mul(snf.left)
 
 
 def row_hnf(rows: Sequence[Sequence[int]], transform: bool = False):

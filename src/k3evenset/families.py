@@ -40,8 +40,6 @@ from .lattice import (
     FrameVector,
     IntegerLattice,
     coords_in,
-    inner,
-    is_primitive,
     same_lattice,
 )
 
@@ -520,84 +518,6 @@ def _permute_n_columns(lat: IntegerLattice, sigma: dict[int, int]) -> IntegerLat
     rows = [[rc[source.get(j, j)] for j in range(len(rc))] for rc in scaled]
     return IntegerLattice.framed(
         f"{lat.name}^sigma", lat.root(), rows, lat.basis_names, even=lat.even, s=s
-    )
-
-
-# --- explicit embeddings into the K3 lattice ---------------------------------
-
-
-@dataclass(frozen=True)
-class K3EmbeddingRecord:
-    family: NSFamily
-    u: FrameVector
-    alpha: FrameVector
-    m_vector: FrameVector
-    v_vector: FrameVector
-    glue: FrameVector
-    ns_copy: IntegerLattice
-    m_squared: int
-    primitive: bool
-
-
-def anti_diagonal_e8(k3: IntegerLattice) -> IntegerLattice:
-    """The copy {(0, x, -x)} of E8(-2) inside U^3 + E8(-1)^2."""
-    rows = []
-    for i in range(8):
-        row = [0] * 22
-        row[6 + i] = 1
-        row[14 + i] = -1
-        rows.append(row)
-    return IntegerLattice.framed(
-        "E8(-2)^anti", k3, rows, tuple(f"w{i}" for i in range(1, 9))
-    )
-
-
-def k3_embedding(family: NSFamily) -> K3EmbeddingRecord:
-    """Explicit primitive embedding of an M' family into the K3 lattice.
-
-    Realizes M = (2u, alpha, alpha) with u = e1 + (n//2 + 1) f1, alpha the
-    sum of the roots a_i over the M' glue indices (square -2 for odd n, -4
-    for even n), v = (0, alpha, -alpha) and the glue (M + v)/2 = (u, alpha, 0).
-    Only the M' families are constructed this way; the other kinds raise.
-    """
-    if family.kind != KIND_MPRIME:
-        raise ValueError(
-            f"{family}: the explicit K3 embedding is constructed for M' families only"
-        )
-    n = family.parameter // 2
-    k = n // 2 + 1
-    idx = glue_indices(family)
-    alpha_coeffs = [1 if i in idx else 0 for i in range(1, 9)]
-    k3 = k3_lattice()
-    u = k3.vector([1, k] + [0] * 20)
-    alpha = k3.vector([0] * 6 + alpha_coeffs + [0] * 8)
-    m_vec = k3.vector([2, 2 * k] + [0] * 4 + alpha_coeffs + alpha_coeffs)
-    v_vec = k3.vector([0] * 6 + alpha_coeffs + [-a for a in alpha_coeffs])
-    glue = (m_vec + v_vec) / 2
-    m_sq = inner(m_vec, m_vec)
-    if m_sq != 4 * n:
-        raise RuntimeError(f"M^2 = {m_sq}, expected {4 * n}")
-    glue_row, sg = glue.root_scaled()
-    anti_rows, sa = anti_diagonal_e8(k3).basis_in_root_scaled()
-    rows = [[sa * x for x in glue_row]] + [[sg * x for x in r] for r in anti_rows]
-    ns_copy = IntegerLattice.framed(
-        f"{family.label()}^K3",
-        k3,
-        rows,
-        ("gM",) + tuple(f"w{i}" for i in range(1, 9)),
-        s=sg * sa,
-    )
-    prim = is_primitive(k3, ns_copy)
-    return K3EmbeddingRecord(
-        family=family,
-        u=u,
-        alpha=alpha,
-        m_vector=m_vec,
-        v_vector=v_vec,
-        glue=glue,
-        ns_copy=ns_copy,
-        m_squared=int(m_sq),
-        primitive=prim,
     )
 
 

@@ -31,9 +31,6 @@ from .exactlin import (
     _symmetric_bareiss,
     det,
     row_hnf,
-    signature,
-    smith_normal_form,
-    unimodular_inverse,
 )
 
 IntRows = tuple[tuple[int, ...], ...]
@@ -213,9 +210,6 @@ class IntegerLattice:
     def determinant(self) -> int:
         return det(self.gram)
 
-    def signature(self):
-        return signature(self.gram)
-
 
 class FrameVector:
     """Exact rational coordinate vector expressed in a lattice's basis."""
@@ -384,10 +378,6 @@ def inner(x: FrameVector, y: FrameVector) -> Fraction:
     return Fraction(total, dx * dy)
 
 
-def norm(x: FrameVector) -> Fraction:
-    return inner(x, x)
-
-
 def coords_in(lat: IntegerLattice, x: FrameVector, k: int = 1) -> Optional[tuple[int, ...]]:
     """Integer coordinates of k*x in lat's basis, or None when k*x is not a
     lattice point of lat."""
@@ -424,43 +414,6 @@ def integral_coords_matrix(
         raise ValueError("need at least one vector")
     rows = [coords_in(ambient, v) for v in vectors]
     return None if None in rows else IntMatrix(rows)
-
-
-def saturation(
-    lat: IntegerLattice, gens: Sequence[FrameVector]
-) -> tuple[IntegerLattice, int]:
-    """Primitive closure of the span of gens inside lat, plus the index.
-
-    The generators must be lattice points of lat and linearly independent
-    over Q; a dependency is rejected together with an integer relation
-    among them.  With U*M*V = D the Smith form of the coordinate matrix, a
-    row of U beyond the rank of M is such a relation; otherwise the rows of
-    V^-1 give a basis of the saturation and the product of the invariant
-    factors is the index of the span inside it.
-    """
-    if not gens:
-        raise ValueError("saturation needs at least one generator")
-    m = integral_coords_matrix(lat, gens)
-    if m is None:
-        raise ValueError(f"some generator is not a lattice point of {lat.name}")
-    snf = smith_normal_form(m)
-    k = len(gens)
-    rank = sum(1 for d in snf.diag if d)
-    if rank < k:
-        raise ValueError(f"generators are dependent: relation {snf.left.row(rank)}")
-    index = 1
-    for d in snf.diag:
-        index *= d
-    vinv = unimodular_inverse(snf.right)
-    rows = vinv.entries[:k]
-    sat = IntegerLattice.framed(
-        f"sat({lat.name})",
-        lat,
-        rows,
-        [f"s{i+1}" for i in range(k)],
-        even=lat.even,
-    )
-    return sat, index
 
 
 def is_primitive(ambient: IntegerLattice, sub: IntegerLattice) -> bool:
@@ -593,26 +546,6 @@ def lattice_to_json(lat: IntegerLattice) -> dict:
             "matrix_den": str(den),
         }
     return data
-
-
-def lattice_from_json(data: dict, parent: Optional[IntegerLattice] = None) -> IntegerLattice:
-    gram = IntMatrix([[int(x) for x in row] for row in data["gram"]])
-    fr = data.get("frame")
-    if not fr:
-        return IntegerLattice(data["name"], gram, data["basis_names"])
-    if parent is None:
-        raise ValueError("frame present but no parent lattice supplied")
-    if parent.name != fr["parent"]:
-        raise ValueError(f"expected parent {fr['parent']}, got {parent.name}")
-    rows = [[int(x) for x in row] for row in fr["matrix_num"]]
-    lat = IntegerLattice.framed(
-        data["name"], parent, rows, data["basis_names"], s=int(fr["matrix_den"])
-    )
-    if lat.gram != gram:
-        raise ValueError(
-            f"{lat.name}: Gram matrix does not match the form transported from {parent.name}"
-        )
-    return lat
 
 
 def vector_to_json(v: FrameVector) -> dict:

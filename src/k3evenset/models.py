@@ -38,8 +38,6 @@ from .positivity import (
     riemann_roch_h0,
 )
 
-MODULI_DIMENSION = 11  # 20 - rank for every rank-9 family
-
 
 @dataclass(frozen=True)
 class FiberConfiguration:
@@ -69,8 +67,6 @@ class ProjectiveModelDescriptor:
     pair_gram: Optional[list] = None
     images: Optional[tuple] = None
     fibers: Optional[FiberConfiguration] = None
-    moduli_count: int = MODULI_DIMENSION
-    text: Optional[str] = None
 
     def to_json(self) -> dict:
         out = {
@@ -233,10 +229,6 @@ def table1_golden() -> dict:
         return json.load(fh)
 
 
-def table1_families() -> list[str]:
-    return [row["family"] for row in table1_golden()["rows"]]
-
-
 def _golden_rows(family: NSFamily | str | None) -> list[dict]:
     """The golden rows of one family (a label is parsed), or all for None."""
     rows = table1_golden()["rows"]
@@ -247,18 +239,6 @@ def _golden_rows(family: NSFamily | str | None) -> list[dict]:
     if not rows:
         raise ValueError(f"{label} is not tabulated")
     return rows
-
-
-def table1(family: NSFamily | str) -> list[ProjectiveModelDescriptor]:
-    """Recompute the table row of a family (error when not tabulated)."""
-    out = []
-    for row in _golden_rows(family):
-        for entry in row["models"]:
-            desc = model_descriptor(row["family"], entry["polarization"])
-            out.append(
-                ProjectiveModelDescriptor(**{**desc.__dict__, "text": entry.get("text")})
-            )
-    return out
 
 
 def verify_table1(family: NSFamily | str | None = None) -> list[dict]:

@@ -419,17 +419,3 @@ def riemann_roch_h0(ns: IntegerLattice, divisor: FrameVector) -> tuple[int, str]
     if d2.numerator % 2 != 0:
         raise ValueError("odd self-intersection cannot occur in an even lattice")
     return int(d2) // 2 + 2, "valid under nef+big with no fixed part"
-
-
-def curve_data(
-    ns: IntegerLattice, curve: FrameVector, polarization: FrameVector
-) -> tuple[int, int]:
-    """(degree, genus) of a curve class against a polarization."""
-    for v, label in ((curve, "curve"), (polarization, "polarization")):
-        if not contains(ns, v):
-            raise ValueError(f"{label} {v!r} is not a lattice point of {ns.name}")
-    c2 = inner(curve, curve)
-    if c2.denominator != 1 or c2.numerator % 2 != 0:
-        raise ValueError(f"curve square {c2} is odd: class is outside the even lattice")
-    degree = inner(curve, polarization)
-    return int(degree), int(c2) // 2 + 1

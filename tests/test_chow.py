@@ -9,7 +9,6 @@ from k3evenset.chow import (
     intersection_matrix,
     intersection_matrix_untruncated,
     parse_ci,
-    random_k3_ci,
 )
 
 
@@ -72,6 +71,30 @@ def test_parse_repetition_and_spaces():
     assert len(ci.multidegrees) == 4
     ci = parse_ci("P4xP2: (2, 0) + (1, 1)^3")
     assert ci.multidegrees[0] == (2, 0)
+
+
+def random_k3_ci(rng, max_factors: int = 3, max_dim: int = 4) -> CompleteIntersection | None:
+    """Random complete intersection satisfying the K3 degree condition.
+
+    Returns None when the random dimensions admit no valid distribution.
+    """
+    k = rng.randint(1, max_factors)
+    dims = tuple(rng.randint(1, max_dim) for _ in range(k))
+    nhyp = sum(dims) - 2
+    if nhyp < 1:
+        return None
+    cols = []
+    for n in dims:
+        # composition of n+1 into nhyp nonnegative parts
+        total = n + 1
+        parts = [0] * nhyp
+        for _ in range(total):
+            parts[rng.randrange(nhyp)] += 1
+        cols.append(parts)
+    degs = tuple(tuple(col[i] for col in cols) for i in range(nhyp))
+    if any(all(d == 0 for d in deg) for deg in degs):
+        return None
+    return CompleteIntersection(MultiProjSpace(dims), degs)
 
 
 def test_random_k3_instances_have_even_diagonal():

@@ -7,7 +7,6 @@ from k3evenset.disc import (
     discriminant_form,
     discriminant_group,
     group_from_factors,
-    groups_isomorphic,
 )
 from k3evenset.exactlin import IntMatrix
 from k3evenset.families import GlueVector, make, overlattice
@@ -90,13 +89,13 @@ def test_discriminant_form_rejects_non_dual_vector():
 
 
 def test_groups_isomorphic():
+    # finite abelian groups are isomorphic iff their invariant factors agree
     a_l8 = discriminant_group(make("L:2d=8"))
     a_m8p = discriminant_group(make("M':2d'=8"))
-    assert groups_isomorphic(a_l8, a_m8p)
+    assert a_l8.invariant_factors == a_m8p.invariant_factors
     a_l6 = discriminant_group(make("L:2d=6"))
     a_m6 = discriminant_group(make("M:2d'=6"))
-    assert not groups_isomorphic(a_l6, a_m6)
-    assert groups_isomorphic(a_l6, a_l6)
+    assert a_l6.invariant_factors != a_m6.invariant_factors
 
 
 def test_report_json_shape():

@@ -12,9 +12,9 @@ from k3evenset.exactlin import (
     signature,
     smith_normal_form,
     solve_integral,
-    unimodular_inverse,
 )
 from k3evenset.families import make
+from test_oracles import unimodular_inverse
 
 
 def gcd_minor_invariant_factors(m: IntMatrix) -> tuple:

@@ -14,14 +14,11 @@ from k3evenset.families import (
     GlueVector,
     NSFamily,
     admissible_glues,
-    anti_diagonal_e8,
     canonical_octet,
     families_for,
     glue_equivalent,
     glue_indices,
     glue_pairings,
-    k3_embedding,
-    k3_lattice,
     make,
     nikulin_sublattice,
     overlattice,
@@ -29,7 +26,7 @@ from k3evenset.families import (
     parse_family,
     validate_glue,
 )
-from k3evenset.lattice import contains, inner, is_primitive, lattice_to_json, norm, same_lattice
+from k3evenset.lattice import contains, inner, is_primitive, lattice_to_json, same_lattice
 
 
 def test_parse_family_grammar():
@@ -203,48 +200,17 @@ def test_nikulin_sublattice_primitive_in_families():
         assert is_primitive(ns, nik)
 
 
-def test_k3_embedding_odd_and_even_n():
-    rec2 = k3_embedding(parse_family("M':2d'=4"))  # n = 1
-    assert rec2.m_squared == 4
-    assert norm(rec2.alpha) == -2
-    assert rec2.primitive
-    rec4 = k3_embedding(parse_family("M':2d'=8"))  # n = 2
-    assert rec4.m_squared == 8
-    assert norm(rec4.alpha) == -4
-    assert rec4.primitive
-    # u = e1 + 2 f1 for n = 2
-    assert rec4.u.root_coords()[:2] == (1, 2)
-    # v = (0, alpha, -alpha) is anti-diagonal with square 2*alpha^2
-    assert norm(rec4.v_vector) == 2 * norm(rec4.alpha)
-    assert contains(anti_diagonal_e8(k3_lattice()), rec4.v_vector)
-    # the glue (M+v)/2 = (u, alpha, 0) has integral K3 coordinates
-    assert rec4.glue.denominator == 1
-    assert rec4.glue == (rec4.m_vector + rec4.v_vector) / 2
-
-
-def test_k3_embedding_matches_family_gram():
-    for dp in (2, 4, 6):
-        rec = k3_embedding(parse_family(f"M':2d'={2*dp}"))
-        assert abs(det(rec.ns_copy.gram)) == abs(det(make(f"M':2d'={2*dp}").gram))
-        assert signature(rec.ns_copy.gram) == Signature(1, 8, 0)
-
-
-def test_k3_embedding_rejects_other_kinds():
-    with pytest.raises(ValueError, match="M' families only"):
-        k3_embedding(parse_family("L:2d=6"))
-
-
 def test_parse_divisor():
     ns = make("L:2d=6")
     d = parse_divisor(ns, "L-Nhat")
-    assert norm(d) == 2
+    assert inner(d, d) == 2
     d = parse_divisor(ns, "2L-Nhat")
-    assert norm(d) == 20
+    assert inner(d, d) == 20
     d = parse_divisor(ns, "L-N1-N2-N3-N4")
-    assert norm(d) == -2
+    assert inner(d, d) == -2
     nsp = make("L':2d=8")
     d = parse_divisor(nsp, "(L-N1-N2-N3-N4)/2")
-    assert norm(d) == 0
+    assert inner(d, d) == 0
     assert contains(nsp, d)
     l1 = parse_divisor(nsp, "L1")
     assert l1 == d
@@ -253,10 +219,10 @@ def test_parse_divisor():
 def test_parse_divisor_l1_l2_split_by_parity():
     ns12 = make("L':2d=12")  # d = 6, d/2 odd: L1 = (L-N1-N2)/2
     l1 = parse_divisor(ns12, "L1")
-    assert norm(l1) == 2
+    assert inner(l1, l1) == 2
     ns16 = make("L':2d=16")  # d = 8, d/2 even: L1 = (L-N1-..-N4)/2
     l1 = parse_divisor(ns16, "L1")
-    assert norm(l1) == 2
+    assert inner(l1, l1) == 2
 
 
 def test_parse_divisor_errors():

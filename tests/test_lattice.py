@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from k3evenset.exactlin import IntMatrix
+from k3evenset.exactlin import IntMatrix, signature
 from k3evenset.families import (
-    anti_diagonal_e8,
     canonical_octet,
     k3_lattice,
     make,
@@ -21,13 +20,11 @@ from k3evenset.lattice import (
     inner,
     is_primitive,
     isometry_from_basis_map,
-    lattice_from_json,
     lattice_to_json,
-    norm,
     same_lattice,
-    saturation,
     short_vectors,
 )
+from test_oracles import saturation
 
 
 def nhat_vector(ns):
@@ -61,12 +58,12 @@ def test_inner_is_bilinear_and_even():
     for _ in range(40):
         coords = [rng.randint(-3, 3) for _ in range(9)]
         x = ns.vector(coords)
-        assert norm(x).denominator == 1
-        assert norm(x).numerator % 2 == 0
+        assert inner(x, x).denominator == 1
+        assert inner(x, x).numerator % 2 == 0
         y = ns.vector([rng.randint(-3, 3) for _ in range(9)])
         assert inner(x, y) == inner(y, x)
         z = x + y
-        assert inner(z, z) == norm(x) + 2 * inner(x, y) + norm(y)
+        assert inner(z, z) == inner(x, x) + 2 * inner(x, y) + inner(y, y)
 
 
 def test_inner_rejects_frame_mismatch():
@@ -141,8 +138,13 @@ def test_is_primitive_matches_saturation_index():
 
 
 def test_anti_diagonal_e8_primitive_in_k3():
+    # the copy {(0, x, -x)} of E8(-2) inside U^3 + E8(-1)^2
     k3 = k3_lattice()
-    anti = anti_diagonal_e8(k3)
+    rows = [
+        [0] * 6 + [int(i == j) for j in range(8)] + [-int(i == j) for j in range(8)]
+        for i in range(8)
+    ]
+    anti = IntegerLattice.framed("E8(-2)^anti", k3, rows, [f"w{i}" for i in range(1, 9)])
     assert anti.gram == make("E8(-2)").gram
     assert is_primitive(k3, anti)
 
@@ -177,13 +179,13 @@ def test_isometry_consistency_det_and_signature():
     identity = [[1 if i == j else 0 for j in range(9)] for i in range(9)]
     assert isometry_from_basis_map(a, b, identity)
     assert a.determinant() == b.determinant()
-    assert a.signature() == b.signature()
+    assert signature(a.gram) == signature(b.gram)
 
 
 def test_short_vectors_counts_e8_roots():
     roots = short_vectors(make("E8(-1)"), 2)
     assert len(roots) == 240
-    assert all(norm(v) == -2 for v in roots)
+    assert all(inner(v, v) == -2 for v in roots)
 
 
 def test_short_vectors_e8_minus_two_has_no_roots():
@@ -213,29 +215,20 @@ def test_vector_normalization():
 
 
 def test_json_round_trip():
+    # the frame in the JSON form rebuilds the lattice over its parent
     ns = make("L':2d=8")
     data = lattice_to_json(ns)
     assert data["schema"] == "k3evenset/1"
     assert all(isinstance(x, str) for row in data["gram"] for x in row)
-    back = lattice_from_json(data, parent=ns.root())
-    assert back.gram == ns.gram
+    frame = data["frame"]
+    assert frame["parent"] == ns.root().name
+    rows = [[int(x) for x in row] for row in frame["matrix_num"]]
+    back = IntegerLattice.framed(
+        data["name"], ns.root(), rows, data["basis_names"], s=int(frame["matrix_den"])
+    )
+    assert [[str(x) for x in row] for row in back.gram.entries] == data["gram"]
     assert back.basis_names == ns.basis_names
     assert same_lattice(back, ns)
-
-
-def test_json_requires_parent_for_framed():
-    ns = make("L':2d=8")
-    data = lattice_to_json(ns)
-    with pytest.raises(ValueError):
-        lattice_from_json(data)
-
-
-def test_json_rejects_gram_mismatch():
-    ns = make("L':2d=8")
-    data = lattice_to_json(ns)
-    data["gram"][0][0] = str(int(data["gram"][0][0]) + 2)
-    with pytest.raises(ValueError, match="does not match"):
-        lattice_from_json(data, parent=ns.root())
 
 
 def fraction_root(v):

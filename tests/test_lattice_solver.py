@@ -20,7 +20,6 @@ from k3evenset.exactlin import IntMatrix, det
 from k3evenset.families import (
     GlueVector,
     admissible_glues,
-    anti_diagonal_e8,
     canonical_octet,
     k3_lattice,
     make,
@@ -33,8 +32,8 @@ from k3evenset.lattice import (
     coords_in,
     integral_coords_matrix,
     is_primitive,
-    saturation,
 )
+from test_oracles import saturation
 
 
 def gauss_coords(basis, xs):
@@ -100,21 +99,26 @@ def random_sublattice(rng, ambient, name):
 def solver_lattices():
     rng = random.Random(2020)
     ns6 = make("L:2d=6")
-    k3 = k3_lattice()
     nik = nikulin_sublattice(ns6)
+    # the copy {(0, x, -x)} of E8(-2) inside U^3 + E8(-1)^2
+    rows = [
+        [0] * 6 + [int(i == j) for j in range(8)] + [-int(i == j) for j in range(8)]
+        for i in range(8)
+    ]
+    anti = IntegerLattice.framed("E8(-2)^anti", k3_lattice(), rows, [f"w{i}" for i in range(1, 9)])
     lats = [
         ns6,
         make("L':2d=8"),
         make("M':2d'=8"),
         nik,
-        anti_diagonal_e8(k3),
+        anti,
         saturation(nik, canonical_octet(ns6))[0],
         saturation(ns6, [2 * ns6.root().basis_vector(0), ns6.root().basis_vector(1)])[0],
     ]
     for i in range(6):
         lats.append(random_sublattice(rng, make("L':2d=8"), f"rand{i}"))
     for i in range(3):
-        lats.append(random_sublattice(rng, anti_diagonal_e8(k3), f"randK3{i}"))
+        lats.append(random_sublattice(rng, anti, f"randK3{i}"))
     return lats
 
 

@@ -11,8 +11,7 @@ from k3evenset.models import (
     ns_correspondence,
     polarization_pair_gram,
     sufficient_condition_lattices,
-    table1,
-    table1_families,
+    table1_golden,
     verify_table1,
 )
 
@@ -29,7 +28,6 @@ def test_descriptor_l2_polarization_l():
     assert d.map_kind == "double_cover"
     assert d.target == "P2"
     assert d.images == ("node",) * 8
-    assert d.moduli_count == 11
 
 
 def test_descriptor_l8_both_polarizations():
@@ -93,17 +91,17 @@ def test_descriptor_rejects_m_side():
 
 def test_table1_full_regeneration():
     reports = verify_table1()
-    assert len(table1_families()) == 11
+    assert len({r["family"] for r in reports}) == 11
     bad = [r for r in reports if not r["ok"]]
     assert bad == []
 
 
 def test_table1_row_fetch_and_unknown():
-    rows = table1("L':2d=12")
-    assert [r.polarization for r in rows] == ["L-Nhat", "L2xL1"]
-    assert rows[0].text == "smooth complete intersection in P5"
+    rows = verify_table1("L':2d=12")
+    assert [r["polarization"] for r in rows] == ["(partner)", "L-Nhat", "L2xL1"]
+    assert all(r["ok"] for r in rows)
     with pytest.raises(ValueError, match="not tabulated"):
-        table1("L:2d=14")
+        verify_table1("L:2d=14")
 
 
 def test_half_polarizations_sum_to_l_minus_nhat():
@@ -135,7 +133,7 @@ def test_correspondence_pairs_and_involution():
     assert ns_correspondence("L:2d=2").label() == "M':2d'=4"
     assert ns_correspondence("M:2d'=8").label() == "L':2d=16"
     assert ns_correspondence("L':2d=4").label() == "M:2d'=2"
-    for fam in table1_families():
+    for fam in (row["family"] for row in table1_golden()["rows"]):
         assert ns_correspondence(ns_correspondence(fam)).label() == fam
 
 

@@ -5,6 +5,10 @@ Both oracles skip work (elimination of the last coordinate, pruning of the
 beta recursion); these tests check that they still return exactly what an
 unpruned scan over the same candidate set returns.  `_brute_solve` then
 backs every infeasibility certificate `solve_integral` returns.
+
+`saturation` and `unimodular_inverse` are the Smith-form reference for
+`is_primitive`'s Hermite test; `test_lattice`, `test_lattice_solver` and
+`test_exactlin` import them from here.
 """
 
 import random
@@ -12,11 +16,68 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
+from typing import Sequence
 
 from k3evenset.acceptance import oracle_obstructing_roots
-from k3evenset.exactlin import IntMatrix, solve_integral
+from k3evenset.exactlin import IntMatrix, smith_normal_form, solve_integral
 from k3evenset.families import make, parse_divisor
-from k3evenset.lattice import contains, norm
+from k3evenset.lattice import (
+    FrameVector,
+    IntegerLattice,
+    contains,
+    inner,
+    integral_coords_matrix,
+)
+
+
+def unimodular_inverse(m: IntMatrix) -> IntMatrix:
+    """Inverse of a unimodular integer matrix, over the integers.
+
+    With L*V*R = I in Smith form, V^-1 = R*L; no rational arithmetic needed.
+    """
+    if not m.is_square():
+        raise ValueError("inverse requires a square matrix")
+    snf = smith_normal_form(m)
+    if any(d != 1 for d in snf.diag):
+        raise ValueError("matrix is not unimodular")
+    return snf.right.mul(snf.left)
+
+
+def saturation(
+    lat: IntegerLattice, gens: Sequence[FrameVector]
+) -> tuple[IntegerLattice, int]:
+    """Primitive closure of the span of gens inside lat, plus the index.
+
+    The generators must be lattice points of lat and linearly independent
+    over Q; a dependency is rejected together with an integer relation
+    among them.  With U*M*V = D the Smith form of the coordinate matrix, a
+    row of U beyond the rank of M is such a relation; otherwise the rows of
+    V^-1 give a basis of the saturation and the product of the invariant
+    factors is the index of the span inside it.
+    """
+    if not gens:
+        raise ValueError("saturation needs at least one generator")
+    m = integral_coords_matrix(lat, gens)
+    if m is None:
+        raise ValueError(f"some generator is not a lattice point of {lat.name}")
+    snf = smith_normal_form(m)
+    k = len(gens)
+    rank = sum(1 for d in snf.diag if d)
+    if rank < k:
+        raise ValueError(f"generators are dependent: relation {snf.left.row(rank)}")
+    index = 1
+    for d in snf.diag:
+        index *= d
+    vinv = unimodular_inverse(snf.right)
+    rows = vinv.entries[:k]
+    sat = IntegerLattice.framed(
+        f"sat({lat.name})",
+        lat,
+        rows,
+        [f"s{i+1}" for i in range(k)],
+        even=lat.even,
+    )
+    return sat, index
 
 
 def _brute_solve(a: IntMatrix, b, radius: int):
@@ -171,7 +232,7 @@ def unpruned_roots(ns, divisor, strict, a_cap):
                 continue
             c = root.vector([a] + [Fraction(-x, 2) for x in beta])
             if contains(ns, c):
-                assert norm(c) == -2
+                assert inner(c, c) == -2
                 out.append(c.root_coords())
     return sorted(out)
 

@@ -3,11 +3,10 @@ from fractions import Fraction
 import pytest
 
 from k3evenset.families import canonical_octet, make, parse_divisor, split_root_l
-from k3evenset.lattice import IntegerLattice, contains, inner, norm, short_vectors
+from k3evenset.lattice import IntegerLattice, contains, inner, short_vectors
 from k3evenset.positivity import (
     _family_frame,
     classify_positivity,
-    curve_data,
     enumerate_obstructing_roots,
     hyperelliptic_test,
     is_even_set,
@@ -113,7 +112,7 @@ def test_lprime4_l_minus_nhat_not_nef():
     report = classify_positivity(ns, dv)
     assert report.status == "not_nef"
     witness = report.witness
-    assert norm(witness) == -2
+    assert inner(witness, witness) == -2
     assert inner(dv, witness) < 0
     c2 = parse_divisor(ns, "(L-N3-N4-N5-N6-N7-N8)/2")
     assert inner(dv, c2) == -1
@@ -142,7 +141,7 @@ def test_enumerate_returns_sound_witnesses():
     assert enumerate_obstructing_roots(ns, dv) == []
     ns, dv = divisor("L':2d=4", "L-Nhat")
     for c in enumerate_obstructing_roots(ns, dv):
-        assert norm(c) == -2
+        assert inner(c, c) == -2
         assert contains(ns, c)
         assert inner(dv, c) <= -1
 
@@ -211,7 +210,7 @@ def test_even_set_false_in_m2_on_explicit_octet():
     # give vectors of twice the norm, so each M + w has square 2 - 4 = -2
     classes = [root.vector([1] + list(v.coords())) for v in octet]
     for i, c in enumerate(classes):
-        assert norm(c) == -2
+        assert inner(c, c) == -2
         for j in range(i):
             assert inner(c, classes[j]) == 0
     assert not is_even_set(m2, classes)
@@ -292,7 +291,7 @@ def test_isotropic_classes_in_lprime8():
     e2 = parse_divisor(ns, "(L-N5-N6-N7-N8)/2")
     assert e1 in found and e2 in found
     for e in found:
-        assert norm(e) == 0 and inner(e, dv) == 2
+        assert inner(e, e) == 0 and inner(e, dv) == 2
 
 
 def test_isotropic_classes_below_the_largest_dot():
@@ -305,7 +304,7 @@ def test_isotropic_classes_below_the_largest_dot():
     assert len(found) == 29
     assert parse_divisor(ns, "L-Nhat") in found
     for e in found:
-        assert norm(e) == 0 and inner(e, dv) == 4
+        assert inner(e, e) == 0 and inner(e, dv) == 4
 
 
 def test_riemann_roch_values():
@@ -329,25 +328,6 @@ def test_riemann_roch_rejects_negative():
     ns, dv = divisor("L:2d=6", "N1")
     with pytest.raises(ValueError, match="per-divisor"):
         riemann_roch_h0(ns, dv)
-
-
-def test_curve_data():
-    ns = make("L:2d=6")
-    assert curve_data(ns, parse_divisor(ns, "L-Nhat"), parse_divisor(ns, "L")) == (6, 2)
-    nsp = make("L':2d=4")
-    c2 = parse_divisor(nsp, "(L-N3-N4-N5-N6-N7-N8)/2")
-    assert curve_data(nsp, c2, parse_divisor(nsp, "L")) == (2, 0)
-    ns16 = make("L':2d=16")
-    r1 = parse_divisor(ns16, "3L1-N5-N6-N7-N8")
-    assert norm(r1) == 10
-    assert curve_data(ns16, r1, parse_divisor(ns16, "L1")) == (6, 6)
-
-
-def test_curve_data_rejects_non_members():
-    ns = make("L:2d=6")
-    half = ns.root().vector([Fraction(1, 2)] + [0] * 8)
-    with pytest.raises(ValueError, match="not a lattice point"):
-        curve_data(ns, half, parse_divisor(ns, "L"))
 
 
 def test_report_json_shape():
