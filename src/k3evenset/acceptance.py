@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm
+from typing import NamedTuple
 
 from .exactlin import IntMatrix, det, signature, smith_normal_form, solve_integral
 from .lattice import contains, is_primitive, short_vectors
@@ -27,6 +27,7 @@ from .families import (
     nikulin_sublattice,
     overlattice,
     parse_divisor,
+    parse_family,
 )
 from .positivity import (
     classify_positivity,
@@ -37,7 +38,6 @@ from .positivity import (
 from .chow import intersection_matrix, intersection_matrix_untruncated, parse_ci, ci_is_k3
 from .models import (
     families_distinct,
-    ns_correspondence,
     polarization_pair_gram,
     sufficient_condition_lattices,
     verify_table1,
@@ -46,14 +46,13 @@ from .models import (
 TIME_LIMITS = {1: 1.0, 2: 1.0, 3: 10.0, 4: 1.0, 5: 5.0, 6: 1.0, 7: 1.0, 8: 30.0}
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     title: str
     ok: bool
     elapsed: float
     time_limit: float
-    failures: list = field(default_factory=list)
+    failures: list
 
     @property
     def within_time(self) -> bool:
@@ -310,10 +309,10 @@ def criterion_correspondence(dmax: int = 12) -> CriterionResult:
             "L':2d=24": "M:2d'=12",
         }
         for fam, expect in golden_pairs.items():
-            got = ns_correspondence(fam)
+            got = parse_family(fam).partner()
             if got.label() != expect:
                 failures.append(f"{fam} -> {got.label()}, expected {expect}")
-            back = ns_correspondence(got)
+            back = got.partner()
             if back.label() != fam:
                 failures.append(f"correspondence not involutive at {fam}")
         # the only same-group pair is (L_{2d}, M'_{2d}); everything else separates

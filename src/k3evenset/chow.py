@@ -9,9 +9,8 @@ monomial h_1^{n_1} ... h_k^{n_k} in h_i h_j times that product.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactlin import IntMatrix
 
@@ -23,11 +22,15 @@ MAX_TOTAL_DIM = 18
 MAX_RING_RANK = 4096
 
 
-@dataclass(frozen=True)
-class MultiProjSpace:
+class _SpaceFields(NamedTuple):
     dims: tuple[int, ...]
 
-    def __post_init__(self):
+
+class MultiProjSpace(_SpaceFields):
+    __slots__ = ()
+
+    def __new__(cls, dims: tuple[int, ...]):
+        self = super().__new__(cls, dims)
         if not self.dims or any(n <= 0 for n in self.dims):
             raise ValueError("each projective factor must have positive dimension")
         if self.total_dim > MAX_TOTAL_DIM:
@@ -41,6 +44,7 @@ class MultiProjSpace:
                 f"{self.label()} has a truncated Chow ring of rank {rank}; "
                 f"at most {MAX_RING_RANK} is supported"
             )
+        return self
 
     @property
     def total_dim(self) -> int:
@@ -59,12 +63,16 @@ class MultiProjSpace:
             )
 
 
-@dataclass(frozen=True)
-class CompleteIntersection:
+class _IntersectionFields(NamedTuple):
     space: MultiProjSpace
     multidegrees: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+
+class CompleteIntersection(_IntersectionFields):
+    __slots__ = ()
+
+    def __new__(cls, space: MultiProjSpace, multidegrees: tuple[tuple[int, ...], ...]):
+        self = super().__new__(cls, space, multidegrees)
         k = len(self.space.dims)
         for deg in self.multidegrees:
             if len(deg) != k:
@@ -73,6 +81,7 @@ class CompleteIntersection:
                 raise ValueError(f"negative degree in {deg}")
             if all(d == 0 for d in deg):
                 raise ValueError("a hypersurface cannot have multidegree zero")
+        return self
 
     def codimension_check(self):
         self.space.surface_check(len(self.multidegrees))

@@ -5,6 +5,11 @@ table1, correspond, verify-paper.  Exit status 0 on success and verified
 outcomes, 1 on a verification mismatch, 2 on usage errors (including
 malformed families, divisors outside their lattice and inadmissible glue).
 All reports are deterministic byte-for-byte for fixed inputs.
+
+A cold call loads only its own subcommand's modules: `exactlin`, `lattice`,
+`disc` and `families` come with the package, and each subcommand imports
+`positivity`, `chow`, `models` or `acceptance` in its own body, so that
+`disc` or `chow` never pays for the root search or the acceptance suite.
 """
 
 from __future__ import annotations
@@ -27,10 +32,6 @@ from .families import (
     parse_family,
 )
 from .lattice import lattice_to_json, vector_to_json
-from .chow import ci_is_k3, intersection_matrix, parse_ci
-from .models import ns_correspondence, verify_table1
-from .positivity import classify_positivity, hyperelliptic_test, is_even_set
-from .acceptance import run_all
 
 SCHEMA = "k3evenset/1"
 
@@ -115,6 +116,8 @@ def _cmd_overlattice(args) -> int:
 
 
 def _cmd_ample(args) -> int:
+    from .positivity import classify_positivity
+
     ns = make(parse_family(args.family))
     divisor = parse_divisor(ns, args.divisor)
     report = classify_positivity(ns, divisor)
@@ -130,6 +133,8 @@ def _cmd_ample(args) -> int:
 
 
 def _cmd_evenset(args) -> int:
+    from .positivity import is_even_set
+
     ns = make(parse_family(args.family))
     octet = canonical_octet(ns)
     result = is_even_set(ns, octet)
@@ -144,6 +149,8 @@ def _cmd_evenset(args) -> int:
 
 
 def _cmd_hyperelliptic(args) -> int:
+    from .positivity import hyperelliptic_test
+
     ns = make(parse_family(args.family))
     divisor = parse_divisor(ns, args.divisor)
     verdict = hyperelliptic_test(ns, divisor)
@@ -165,6 +172,8 @@ def _cmd_hyperelliptic(args) -> int:
 
 
 def _cmd_chow(args) -> int:
+    from .chow import ci_is_k3, intersection_matrix, parse_ci
+
     ci = parse_ci(args.ci)
     matrix = intersection_matrix(ci)
     data = {
@@ -183,6 +192,8 @@ def _cmd_chow(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from .models import verify_table1
+
     reports = verify_table1(args.family)
     ok = all(r["ok"] for r in reports)
     data = {"ok": ok, "rows": reports}
@@ -208,7 +219,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_correspond(args) -> int:
-    partner = ns_correspondence(parse_family(args.family))
+    partner = parse_family(args.family).partner()
     data = {"family": args.family, "partner": partner.label()}
 
     def text(d):
@@ -219,6 +230,8 @@ def _cmd_correspond(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
+    from .acceptance import run_all
+
     results = run_all(dmax=args.dmax)
     all_ok = all(r.passed for r in results)
     data = {"ok": all_ok, "criteria": [r.to_json() for r in results]}

@@ -9,16 +9,15 @@ the lattice's own basis.  No matrix is inverted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .exactlin import smith_normal_form
 from .lattice import FrameVector, IntegerLattice, inner, vector_to_json
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(NamedTuple):
     """Invariant factors (each dividing the next), generator lifts, order."""
 
     invariant_factors: tuple[int, ...]

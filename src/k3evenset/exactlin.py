@@ -14,9 +14,8 @@ signatures of symmetric forms and the Fincke-Pohst factorisation of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class IntMatrix:
@@ -103,8 +102,7 @@ class IntMatrix:
         return all(e[i][j] == e[j][i] for i in range(self.rows) for j in range(i))
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(NamedTuple):
     """Smith normal form ``left * M * right = diag`` with unimodular transforms."""
 
     diag: tuple[int, ...]
@@ -112,8 +110,7 @@ class SNFResult:
     right: IntMatrix
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     positive: int
     negative: int
     zero: int

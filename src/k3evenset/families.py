@@ -26,7 +26,6 @@ classification lemma and the correspondence partner.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -197,21 +196,25 @@ def discriminant_factors(kind: str, parameter: int) -> tuple[int, ...]:
     return group_from_factors((2 * parameter,) + (2,) * (side.twos - 2 * kind.endswith("'")))
 
 
-@dataclass(frozen=True)
-class NSFamily:
-    """One of the four parametric families, keyed by kind and d (or d')."""
-
+class _FamilyFields(NamedTuple):
     kind: str
     parameter: int
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.parameter <= 0:
+
+class NSFamily(_FamilyFields):
+    """One of the four parametric families, keyed by kind and d (or d')."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, parameter: int):
+        if kind not in KINDS:
+            raise ValueError(f"unknown family kind {kind!r}")
+        if parameter <= 0:
             raise ValueError("family parameter must be a positive integer")
-        reason = parity_violation(self.kind, self.parameter)
+        reason = parity_violation(kind, parameter)
         if reason:
             raise ValueError(reason)
+        return super().__new__(cls, kind, parameter)
 
     @property
     def side(self) -> str:
@@ -228,7 +231,11 @@ class NSFamily:
         return self.label()
 
     def partner(self) -> NSFamily:
-        """Other side, other glue state: L_{2d} <-> M'_{4d}, L'_{4d'} <-> M_{2d'}."""
+        """Partner under the Nikulin quotient / double cover correspondence.
+
+        Other side, other glue state: L_{2d} <-> M'_{4d}, L'_{4d'} <-> M_{2d'};
+        the map is an involution.
+        """
         other = KIND_M if self.side == KIND_L else KIND_L
         if self.glued:
             return NSFamily(other, self.parameter // 2)
@@ -328,21 +335,25 @@ def make(which: Union[str, NSFamily]) -> IntegerLattice:
 # --- glue vectors and overlattices ------------------------------------------
 
 
-@dataclass(frozen=True)
-class GlueVector:
+class _GlueFields(NamedTuple):
+    support: frozenset[int]
+
+
+class GlueVector(_GlueFields):
     """Normal form of a glue vector: v = sum of N_i over an even support.
 
     The Nhat component and the overall sign are dropped: modulo 2N every
     admissible class has a representative with coefficients in {0, 1}.
     """
 
-    support: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.support <= set(range(1, 9)):
+    def __new__(cls, support: frozenset[int]):
+        if not support <= set(range(1, 9)):
             raise ValueError("support must be a subset of {1..8}")
-        if len(self.support) % 2 != 0:
+        if len(support) % 2 != 0:
             raise ValueError("support size must be even")
+        return super().__new__(cls, support)
 
     def sorted_support(self) -> tuple[int, ...]:
         return tuple(sorted(self.support))

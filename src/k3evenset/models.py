@@ -1,5 +1,6 @@
-"""Projective-model descriptors, the model table, the X/Y correspondence
-and the sufficient-condition configuration lattices.
+"""Projective-model descriptors, the model table with each family's X/Y
+correspondence partner, the exclusion reports and the sufficient-condition
+configuration lattices.
 
 Everything structured here is recomputed from lattice data: dimensions via
 Riemann-Roch, map kinds via the positivity and hyperelliptic engines, image
@@ -12,9 +13,8 @@ match it exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exactlin import IntMatrix
 from .lattice import FrameVector, IntegerLattice, inner, isometry_from_basis_map
@@ -39,8 +39,7 @@ from .positivity import (
 )
 
 
-@dataclass(frozen=True)
-class FiberConfiguration:
+class FiberConfiguration(NamedTuple):
     """Counts of singular fibers of an elliptic K3 fibration (types I1, I2)."""
 
     i1: int
@@ -55,8 +54,7 @@ def fibration_euler_check(config: FiberConfiguration) -> bool:
     return config.euler_sum() == 24
 
 
-@dataclass(frozen=True)
-class ProjectiveModelDescriptor:
+class ProjectiveModelDescriptor(NamedTuple):
     family: NSFamily
     polarization: str
     map_kind: str
@@ -251,7 +249,7 @@ def verify_table1(family: NSFamily | str | None = None) -> list[dict]:
     reports = []
     for row in _golden_rows(family):
         fam = parse_family(row["family"])
-        partner = ns_correspondence(fam)
+        partner = fam.partner()
         partner_dim = partner.parameter + 1  # h0(M) - 1 = d' + 1
         reports.append(
             {
@@ -281,22 +279,10 @@ def verify_table1(family: NSFamily | str | None = None) -> list[dict]:
     return reports
 
 
-# --- correspondence and exclusion --------------------------------------------
+# --- exclusion ---------------------------------------------------------------
 
 
-def ns_correspondence(family: NSFamily | str) -> NSFamily:
-    """Partner family under the Nikulin quotient / double cover correspondence.
-
-    NS(Y) = M_{2d'} pairs with NS(X) = L'_{4d'} and NS(Y) = M'_{4d} pairs
-    with NS(X) = L_{2d}; the map is an involution.
-    """
-    if isinstance(family, str):
-        family = parse_family(family)
-    return family.partner()
-
-
-@dataclass(frozen=True)
-class DistinctnessReport:
+class DistinctnessReport(NamedTuple):
     kind: str  # "compatible" | "distinct_by_group" | "same_group_but_constraint"
     detail: str
 
@@ -347,8 +333,7 @@ def families_distinct(f1, f2) -> DistinctnessReport:
 # --- sufficient-condition configurations (geometric data to lattices) --------
 
 
-@dataclass(frozen=True)
-class ConfigurationResult:
+class ConfigurationResult(NamedTuple):
     name: str
     description: str
     lattice: IntegerLattice

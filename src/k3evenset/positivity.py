@@ -31,11 +31,10 @@ are refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .lattice import FrameVector, IntegerLattice, contains, content, inner, vector_to_json
 from .families import canonical_octet, l_frame_d
@@ -51,8 +50,7 @@ _MODEL_ASSUMPTION = (
 )
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     divisor: FrameVector
     self_intersection: int
     status: str
@@ -295,8 +293,7 @@ def isotropic_classes(
     return [e for e, dc in _candidates(ns, d, p2, q2, a_den, 0, dots[-1])[1] if dc in wanted]
 
 
-@dataclass(frozen=True)
-class PencilDecomposition:
+class PencilDecomposition(NamedTuple):
     """D = a*E + (sum of the fixed-part curves); empty fixed part when D = aE."""
 
     a: int
@@ -370,8 +367,7 @@ def _orthogonal_witnesses(ns: IntegerLattice, divisor: FrameVector) -> list[Fram
     return out
 
 
-@dataclass(frozen=True)
-class HyperellipticVerdict:
+class HyperellipticVerdict(NamedTuple):
     kind: str  # "double_cover" or "birational"
     witness: Optional[FrameVector] = None
     witness_kind: Optional[str] = None  # "genus2" | "elliptic_pencil" | "half_polarization"

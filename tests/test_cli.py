@@ -17,12 +17,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+FRESH_ENV = dict(os.environ, PYTHONPATH=str(Path(k3evenset.__file__).parents[1]))
+
+
 def run_fresh(argv):
     """(exit code, stdout, stderr) of the CLI in a new interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(Path(k3evenset.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "k3evenset.cli", *argv],
-        capture_output=True, text=True, timeout=30, env=env,
+        capture_output=True, text=True, timeout=30, env=FRESH_ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -268,3 +270,34 @@ def test_main_builds_one_parser_and_matches_fresh_processes(monkeypatch, capsys)
         build_parser.cache_clear()
     assert [code for code, _, _ in warm] == [2, 0, 0]
     assert [run_fresh(argv) for argv in calls] == warm
+
+
+def loaded_modules(code):
+    """The package modules, and dataclasses if loaded, after running code in a
+    new interpreter."""
+    report = (
+        "\nimport json, sys\n"
+        "print(json.dumps([m for m in sys.modules if m == 'dataclasses' or m.startswith('k3evenset')]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code + report],
+        capture_output=True, text=True, timeout=30, env=FRESH_ENV, check=True,
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+CORE = {"k3evenset", "k3evenset.exactlin", "k3evenset.lattice", "k3evenset.disc", "k3evenset.families"}
+
+
+def test_cli_import_loads_only_the_core_modules():
+    # subcommand modules load on first use, and no record pulls in dataclasses
+    assert loaded_modules("import k3evenset.cli") == CORE | {"k3evenset.cli"}
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [(["disc", "L:2d=6"], set()), (["chow", "P3: (4)"], {"k3evenset.chow"})],
+)
+def test_cold_call_loads_only_its_subcommand_modules(argv, extra):
+    loaded = loaded_modules(f"from k3evenset.cli import main\nmain({argv!r})")
+    assert loaded == CORE | {"k3evenset.cli"} | extra

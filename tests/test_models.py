@@ -8,7 +8,6 @@ from k3evenset.models import (
     families_distinct,
     fibration_euler_check,
     model_descriptor,
-    ns_correspondence,
     polarization_pair_gram,
     sufficient_condition_lattices,
     table1_golden,
@@ -130,11 +129,11 @@ def test_chow_cross_check_against_pair_grams():
 
 
 def test_correspondence_pairs_and_involution():
-    assert ns_correspondence("L:2d=2").label() == "M':2d'=4"
-    assert ns_correspondence("M:2d'=8").label() == "L':2d=16"
-    assert ns_correspondence("L':2d=4").label() == "M:2d'=2"
+    assert parse_family("L:2d=2").partner().label() == "M':2d'=4"
+    assert parse_family("M:2d'=8").partner().label() == "L':2d=16"
+    assert parse_family("L':2d=4").partner().label() == "M:2d'=2"
     for fam in (row["family"] for row in table1_golden()["rows"]):
-        assert ns_correspondence(ns_correspondence(fam)).label() == fam
+        assert parse_family(fam).partner().partner().label() == fam
 
 
 def test_families_distinct_reports():
