@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .exactlin import IntMatrix
 from .lattice import FrameVector, IntegerLattice, inner, isometry_from_basis_map
@@ -32,6 +32,7 @@ from .disc import discriminant_group
 from .positivity import (
     STATUS_AMPLE,
     STATUS_NOT_NEF,
+    HyperellipticVerdict,
     classify_positivity,
     hyperelliptic_test,
     pencil_decomposition,
@@ -98,12 +99,15 @@ def _single_images(ns: IntegerLattice, divisor: FrameVector) -> tuple:
     return tuple(_image_type(inner(divisor, n)) for n in canonical_octet(ns))
 
 
-def double_cover_target(ns: IntegerLattice, divisor: FrameVector) -> str:
+def double_cover_target(
+    ns: IntegerLattice, divisor: FrameVector, verdict: HyperellipticVerdict
+) -> str:
     """Name the 2:1 target: P2, a quadric, or a cone.
 
     Keyed exactly on the lattice data: D^2 = 2 maps to the plane; the shape
     D = 2E + Gamma_0 + Gamma_1 is the double cover of a cone; D = E_1 + E_2
     with two free pencils meeting twice is the double cover of a quadric.
+    `verdict` is the divisor's `hyperelliptic_test` result.
     """
     d2 = inner(divisor, divisor)
     if d2 == 2:
@@ -111,9 +115,8 @@ def double_cover_target(ns: IntegerLattice, divisor: FrameVector) -> str:
     pd = pencil_decomposition(ns, divisor)
     if pd is not None and len(pd.fixed_part) == 2:
         return "cone"
-    hv = hyperelliptic_test(ns, divisor)
-    if hv.witness_kind == "elliptic_pencil":
-        e1 = hv.witness
+    if verdict.witness_kind == "elliptic_pencil":
+        e1 = verdict.witness
         e2 = divisor - e1
         if inner(e2, e2) == 0 and inner(e1, e2) == 2:
             if classify_positivity(ns, e2).status != STATUS_NOT_NEF:
@@ -158,7 +161,7 @@ def model_descriptor(family: NSFamily | str, polarization: str) -> ProjectiveMod
             family=family,
             polarization=polarization,
             map_kind="double_cover",
-            target=double_cover_target(ns, divisor),
+            target=double_cover_target(ns, divisor, verdict),
             target_dim=h0 - 1,
             degree=d2 // 2,
             h0=h0,
@@ -185,10 +188,6 @@ def _product_descriptor(
     second = parse_divisor(ns, second_name)
     h0s = [riemann_roch_h0(ns, v)[0] for v in (first, second)]
     dims = [h - 1 for h in h0s]
-    gram = [
-        [int(inner(first, first)), int(inner(first, second))],
-        [int(inner(second, first)), int(inner(second, second))],
-    ]
     images = tuple(
         (_image_type(inner(first, n)), _image_type(inner(second, n)))
         for n in canonical_octet(ns)
@@ -199,7 +198,7 @@ def _product_descriptor(
         map_kind="product_embedding",
         target=f"P{dims[0]}xP{dims[1]}",
         target_dim=dims,
-        pair_gram=gram,
+        pair_gram=_pair_gram(first, second),
         images=images,
     )
 
@@ -209,14 +208,12 @@ def polarization_pair_gram(family: NSFamily | str, first: str, second: str) -> I
     if isinstance(family, str):
         family = parse_family(family)
     ns = make(family)
-    a = parse_divisor(ns, first)
-    b = parse_divisor(ns, second)
-    return IntMatrix(
-        [
-            [int(inner(a, a)), int(inner(a, b))],
-            [int(inner(b, a)), int(inner(b, b))],
-        ]
-    )
+    return IntMatrix(_pair_gram(parse_divisor(ns, first), parse_divisor(ns, second)))
+
+
+def _pair_gram(a: FrameVector, b: FrameVector) -> list[list[int]]:
+    """The 2x2 Gram matrix of two divisors, as integers."""
+    return [[int(inner(u, v)) for v in (a, b)] for u in (a, b)]
 
 
 # --- the model table ---------------------------------------------------------
@@ -341,32 +338,120 @@ class ConfigurationResult(NamedTuple):
     verified: bool
 
 
-def _config_lattice(name: str, names: Sequence[str], pairs: dict) -> IntegerLattice:
-    n = len(names)
-    index = {nm: i for i, nm in enumerate(names)}
-    g = [[0] * n for _ in range(n)]
-    for (a, b), v in pairs.items():
-        i, j = index[a], index[b]
-        g[i][j] = v
-        g[j][i] = v
-    return IntegerLattice(name, IntMatrix(g), names)
+class _Configuration(NamedTuple):
+    """One proposition's configuration: classes X and Y and seven (-2)-curves.
 
-
-def _two_maps_config(a1_sq: int, a2_sq: int, a1a2: int, a1_r, a2_r) -> dict:
-    """Gram data for two polarizations against eight disjoint (-2)-curves.
-
-    a1_r / a2_r give the pairing with R_i as a function of i (1-based).
+    The raw lattice has basis `basis`, in which X and Y are named `x` and `y`
+    and the remaining names are the curves R_1..R_7, in order; R_i maps to
+    N_i.  Images are coordinates in the family basis (L or g, N1..N7, Nhat).
+    Where the even-set divisibility is part of the geometric conclusion, the
+    adjoined class (name, twice its coordinates over `basis`) replaces Y, and
+    `y_image` is its image.
     """
-    pairs = {
-        ("A1", "A1"): a1_sq,
-        ("A2", "A2"): a2_sq,
-        ("A1", "A2"): a1a2,
-    }
-    for i in range(1, 8):
-        pairs[(f"R{i}", f"R{i}")] = -2
-        pairs[("A1", f"R{i}")] = a1_r(i)
-        pairs[("A2", f"R{i}")] = a2_r(i)
-    return pairs
+
+    name: str
+    description: str
+    family: str
+    basis: tuple
+    x: str
+    y: str
+    squares: tuple  # (X^2, Y^2, X.Y)
+    x_curves: tuple  # X.R_i, i = 1..7
+    y_curves: tuple  # Y.R_i
+    x_image: tuple
+    y_image: tuple
+    adjoined: Optional[tuple] = None
+
+
+_R = tuple(f"R{i}" for i in range(1, 8))
+
+_CONFIGURATIONS = (
+    _Configuration(
+        "cone", "double cover of a cone branched in a conic and a sextic meeting in six points",
+        "L':2d=4", ("E'", "G0", "G1", "G2", "G3", "G4", "G5", "G6", "C2"), "E'", "C2",
+        (0, -2, 1), (1, 1, 0, 0, 0, 0, 0), (0, 0, 1, 1, 1, 1, 1),
+        (1, 0, 0, 0, 0, 0, 0, 0, 0), (1, 1, 1, 0, 0, 0, 0, 0, -1),  # g, g + N1 + N2 - Nhat
+    ),
+    _Configuration(
+        "ci_P4xP2", "complete intersection of type (2,0)+(1,1)^3 in P4xP2",
+        "L:2d=6", ("A1", "A2") + _R, "A1", "A2",
+        (6, 2, 6), (0, 0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1, 1),
+        (1, 0, 0, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0, -1),  # L, L - Nhat
+    ),
+    _Configuration(
+        "quadrics_P5", "complete intersection of three quadrics in P5 with an even set of nodes",
+        "L:2d=8", ("A1", "A2") + _R, "A1", "A2",
+        (8, 4, 8), (0, 0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1, 1),
+        (1, 0, 0, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0, -1),  # L, L - Nhat
+    ),
+    _Configuration(
+        "quadric_cones_P5",
+        "c.i. of a smooth quadric and two quadrics singular along disjoint planes",
+        "L':2d=8", ("C1", "C2") + _R, "C1", "C2",
+        (0, 0, 2), (1, 1, 1, 1, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1),
+        (1, 0, 0, 0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 0, 0, 0, -1),  # g, g + N1..N4 - Nhat
+    ),
+    _Configuration(
+        "double_covers_P2",
+        "two 2:1 maps to P2, each contracting four curves and sending four to conics",
+        "L:2d=10", ("A1", "A2") + _R, "A1", "A2",
+        (2, 2, 10), (0, 0, 0, 0, 2, 2, 2), (2, 2, 2, 2, 0, 0, 0),
+        (1, 1, 1, 1, 1, 0, 0, 0, -2), (0, 0, 0, 0, 0, 0, 0, 0, 1),  # L + N1..N4 - 2Nhat, Nhat
+        ("delta", (-1, 1, 2, 2, 2, 2, 0, 0, 0)),  # (A2 - A1)/2 + R1 + R2 + R3 + R4
+    ),
+    _Configuration(
+        "mixed_P3", "two maps to P3, each contracting four curves and sending four to conics",
+        "L:2d=12", ("A1", "A2") + _R, "A1", "A2",
+        (4, 4, 12), (0, 0, 0, 0, 2, 2, 2), (2, 2, 2, 2, 0, 0, 0),
+        (1, 1, 1, 1, 1, 0, 0, 0, -2), (0, 0, 0, 0, 0, 0, 0, 0, 1),  # L + N1..N4 - 2Nhat, Nhat
+        ("delta", (-1, 1, 2, 2, 2, 2, 0, 0, 0)),  # (A2 - A1)/2 + R1 + R2 + R3 + R4
+    ),
+    _Configuration(
+        "bidegree_2_3_P1xP2",
+        "surface of bidegree (2,3) in P1xP2 with two contracted curves and six sections",
+        "L':2d=12", ("D1", "D2") + _R, "D1", "D2",
+        (0, 2, 3), (0, 0, 1, 1, 1, 1, 1), (1, 1, 0, 0, 0, 0, 0),
+        (1, 1, 1, 0, 0, 0, 0, 0, -1), (1, 0, 0, 0, 0, 0, 0, 0, 0),  # g + N1 + N2 - Nhat, g
+    ),
+    _Configuration(
+        "wehler_P2xP2", "c.i. of a (1,1) and a (2,2) hypersurface in P2xP2 (Wehler surface)",
+        "L':2d=16", ("D1", "D2") + _R, "D1", "D2",
+        (2, 2, 4), (0, 0, 0, 0, 1, 1, 1), (1, 1, 1, 1, 0, 0, 0),
+        (1, 1, 1, 1, 1, 0, 0, 0, -1), (1, 0, 0, 0, 0, 0, 0, 0, 0),  # g + N1..N4 - Nhat, g
+    ),
+    _Configuration(
+        "ci_P3xP3", "c.i. of four (1,1) hypersurfaces in P3xP3",
+        "L':2d=24", ("D1", "D2") + _R, "D1", "D2",
+        (4, 4, 6), (0, 0, 0, 0, 1, 1, 1), (1, 1, 1, 1, 0, 0, 0),
+        (1, 1, 1, 1, 1, 0, 0, 0, -1), (1, 0, 0, 0, 0, 0, 0, 0, 0),  # g + N1..N4 - Nhat, g
+    ),
+)
+
+
+def _verify_configuration(c: _Configuration) -> ConfigurationResult:
+    """Build one configuration's lattice and check its basis map into the family."""
+    x2, y2, xy = c.squares
+    curves = [n for n in c.basis if n not in (c.x, c.y)]
+    pairing = {c.x: {c.x: x2, c.y: xy}, c.y: {c.x: xy, c.y: y2}}
+    image = {c.x: c.x_image}
+    for i, (r, xr, yr) in enumerate(zip(curves, c.x_curves, c.y_curves), 1):
+        pairing[c.x][r], pairing[c.y][r] = xr, yr
+        pairing[r] = {c.x: xr, c.y: yr, r: -2}
+        image[r] = tuple(int(j == i) for j in range(9))
+    gram = IntMatrix([[pairing[a].get(b, 0) for b in c.basis] for a in c.basis])
+    if c.adjoined is None:
+        names = c.basis
+        lattice = IntegerLattice(c.name, gram, names)
+        image[c.y] = c.y_image
+    else:
+        adjoined, doubled = c.adjoined
+        names = (adjoined,) + tuple(n for n in c.basis if n != c.y)
+        rows = [doubled] + [[2 * (b == n) for b in c.basis] for n in names[1:]]
+        raw = IntegerLattice(c.name + "-raw", gram, c.basis)
+        lattice = IntegerLattice.framed(c.name, raw, rows, names, s=2)
+        image[adjoined] = c.y_image
+    verified = isometry_from_basis_map(lattice, make(c.family), [image[n] for n in names])
+    return ConfigurationResult(c.name, c.description, lattice, c.family, verified)
 
 
 def sufficient_condition_lattices() -> list[ConfigurationResult]:
@@ -374,183 +459,10 @@ def sufficient_condition_lattices() -> list[ConfigurationResult]:
 
     Every configuration is spanned by the polarization classes and the
     visible rational curves with the intersection numbers the corresponding
-    proposition states; where the even-set divisibility itself is part of
-    the geometric conclusion (the two double-plane and the mixed cases) the
-    half-sum class is adjoined as configuration data.  Verification is an
-    explicit basis map into the claimed family, checked exactly.
+    proposition states (`_CONFIGURATIONS`); where the even-set divisibility
+    itself is part of the geometric conclusion (the two double-plane and the
+    mixed cases) the half-sum class is adjoined as configuration data.
+    Verification is an explicit basis map into the claimed family, checked
+    exactly.
     """
-    out = []
-
-    # 1. double cover of a cone branched in a conic and a sextic -> L':2d=4
-    names = ("E'", "G0", "G1", "G2", "G3", "G4", "G5", "G6", "C2")
-    pairs = {("E'", "E'"): 0, ("C2", "C2"): -2, ("E'", "C2"): 1}
-    for g in ("G0", "G1", "G2", "G3", "G4", "G5", "G6"):
-        pairs[(g, g)] = -2
-    pairs[("E'", "G0")] = 1
-    pairs[("E'", "G1")] = 1
-    for g in ("G2", "G3", "G4", "G5", "G6"):
-        pairs[("C2", g)] = 1
-    cone = _config_lattice("cone-config", names, pairs)
-    # E' -> g, Gi -> N_{i+1}, C2 -> g + N1 + N2 - Nhat
-    cone_map = [[1 if j == 0 else 0 for j in range(9)]]
-    for i in range(7):
-        cone_map.append([1 if j == i + 1 else 0 for j in range(9)])
-    cone_map.append([1, 1, 1, 0, 0, 0, 0, 0, -1])
-    out.append(
-        ConfigurationResult(
-            "cone",
-            "double cover of a cone branched in a conic and a sextic meeting in six points",
-            cone,
-            "L':2d=4",
-            isometry_from_basis_map(cone, make("L':2d=4"), cone_map),
-        )
-    )
-
-    # 2. c.i. of a (2,0) and three (1,1) hypersurfaces in P4xP2 -> L:2d=6
-    # 3. c.i. of three quadrics in P5 with nodes mapped to lines -> L:2d=8
-    for name, desc, a1_sq, a2_sq, a1a2, fam in (
-        (
-            "ci_P4xP2",
-            "complete intersection of type (2,0)+(1,1)^3 in P4xP2",
-            6,
-            2,
-            6,
-            "L:2d=6",
-        ),
-        (
-            "quadrics_P5",
-            "complete intersection of three quadrics in P5 with an even set of nodes",
-            8,
-            4,
-            8,
-            "L:2d=8",
-        ),
-    ):
-        names = ("A1", "A2") + tuple(f"R{i}" for i in range(1, 8))
-        cfg = _config_lattice(
-            name, names, _two_maps_config(a1_sq, a2_sq, a1a2, lambda i: 0, lambda i: 1)
-        )
-        # A1 -> L, A2 -> L - Nhat, Ri -> Ni
-        rows = [[1] + [0] * 8, [1] + [0] * 7 + [-1]]
-        for i in range(7):
-            rows.append([0] * (i + 1) + [1] + [0] * (7 - i))
-        out.append(
-            ConfigurationResult(
-                name, desc, cfg, fam, isometry_from_basis_map(cfg, make(fam), rows)
-            )
-        )
-
-    # 4. c.i. of a smooth quadric and two quadric cones in P5 -> L':2d=8
-    names = ("C1", "C2") + tuple(f"R{i}" for i in range(1, 8))
-    pairs = {("C1", "C1"): 0, ("C2", "C2"): 0, ("C1", "C2"): 2}
-    for i in range(1, 8):
-        pairs[(f"R{i}", f"R{i}")] = -2
-        pairs[("C1", f"R{i}")] = 1 if i <= 4 else 0
-        pairs[("C2", f"R{i}")] = 0 if i <= 4 else 1
-    cones = _config_lattice("quadric-cones-config", names, pairs)
-    rows = [[1] + [0] * 8, [1, 1, 1, 1, 1, 0, 0, 0, -1]]
-    for i in range(7):
-        rows.append([0] * (i + 1) + [1] + [0] * (7 - i))
-    out.append(
-        ConfigurationResult(
-            "quadric_cones_P5",
-            "c.i. of a smooth quadric and two quadrics singular along disjoint planes",
-            cones,
-            "L':2d=8",
-            isometry_from_basis_map(cones, make("L':2d=8"), rows),
-        )
-    )
-
-    # 5. two double covers of P2 exchanging contracted curves and conics -> L:2d=10
-    # 6. two maps to P3 mixing nodes and conics -> L:2d=12
-    for name, desc, sq, prod, fam in (
-        (
-            "double_covers_P2",
-            "two 2:1 maps to P2, each contracting four curves and sending four to conics",
-            2,
-            10,
-            "L:2d=10",
-        ),
-        (
-            "mixed_P3",
-            "two maps to P3, each contracting four curves and sending four to conics",
-            4,
-            12,
-            "L:2d=12",
-        ),
-    ):
-        raw_names = ("A1", "A2") + tuple(f"R{i}" for i in range(1, 8))
-        raw = _config_lattice(
-            name + "-raw",
-            raw_names,
-            _two_maps_config(
-                sq, sq, prod, lambda i: 0 if i <= 4 else 2, lambda i: 2 if i <= 4 else 0
-            ),
-        )
-        # adjoin the even-set class delta = (A2 - A1)/2 + R1 + R2 + R3 + R4,
-        # all rows doubled over the frame denominator 2
-        delta = [-1, 1, 2, 2, 2, 2, 0, 0, 0]
-        basis_rows = [delta, [2] + [0] * 8]
-        for i in range(7):
-            basis_rows.append([0, 0] + [2 if j == i else 0 for j in range(7)])
-        cfg = IntegerLattice.framed(
-            name, raw, basis_rows, ("delta", "A1") + tuple(f"R{i}" for i in range(1, 8)), s=2
-        )
-        # delta -> Nhat, A1 -> L + N1 + N2 + N3 + N4 - 2 Nhat, Ri -> Ni
-        rows = [[0] * 8 + [1], [1, 1, 1, 1, 1, 0, 0, 0, -2]]
-        for i in range(7):
-            rows.append([0] * (i + 1) + [1] + [0] * (7 - i))
-        out.append(
-            ConfigurationResult(
-                name, desc, cfg, fam, isometry_from_basis_map(cfg, make(fam), rows)
-            )
-        )
-
-    # 7/8/9. products of projective spaces -> L':2d=12, L':2d=16, L':2d=24
-    for name, desc, d1_sq, d2_sq, d1d2, split, fam in (
-        (
-            "bidegree_2_3_P1xP2",
-            "surface of bidegree (2,3) in P1xP2 with two contracted curves and six sections",
-            0,
-            2,
-            3,
-            2,
-            "L':2d=12",
-        ),
-        (
-            "wehler_P2xP2",
-            "c.i. of a (1,1) and a (2,2) hypersurface in P2xP2 (Wehler surface)",
-            2,
-            2,
-            4,
-            4,
-            "L':2d=16",
-        ),
-        (
-            "ci_P3xP3",
-            "c.i. of four (1,1) hypersurfaces in P3xP3",
-            4,
-            4,
-            6,
-            4,
-            "L':2d=24",
-        ),
-    ):
-        names = ("D1", "D2") + tuple(f"R{i}" for i in range(1, 8))
-        pairs = {("D1", "D1"): d1_sq, ("D2", "D2"): d2_sq, ("D1", "D2"): d1d2}
-        for i in range(1, 8):
-            pairs[(f"R{i}", f"R{i}")] = -2
-            pairs[("D1", f"R{i}")] = 0 if i <= split else 1
-            pairs[("D2", f"R{i}")] = 1 if i <= split else 0
-        cfg = _config_lattice(name, names, pairs)
-        # D1 -> L2 = g + (N1..Nsplit) - Nhat, D2 -> L1 = g, Ri -> Ni
-        d1_row = [1] + [1 if 1 <= j <= split else 0 for j in range(1, 8)] + [-1]
-        rows = [d1_row, [1] + [0] * 8]
-        for i in range(7):
-            rows.append([0] * (i + 1) + [1] + [0] * (7 - i))
-        out.append(
-            ConfigurationResult(
-                name, desc, cfg, fam, isometry_from_basis_map(cfg, make(fam), rows)
-            )
-        )
-    return out
+    return [_verify_configuration(c) for c in _CONFIGURATIONS]

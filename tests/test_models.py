@@ -4,7 +4,9 @@ from k3evenset.chow import intersection_matrix, parse_ci
 from k3evenset.families import make, parse_divisor, parse_family
 from k3evenset.lattice import inner
 from k3evenset.models import (
+    _CONFIGURATIONS,
     FiberConfiguration,
+    _verify_configuration,
     families_distinct,
     fibration_euler_check,
     model_descriptor,
@@ -192,6 +194,34 @@ def test_configuration_lattices_carry_stated_intersection_data():
     assert ci.gram[idx["A1"], idx["A1"]] == 6
     assert ci.gram[idx["A2"], idx["A2"]] == 2
     assert ci.gram[idx["A1"], idx["A2"]] == 6
+
+
+def _bumped(values: tuple, i: int, by: int) -> tuple:
+    return values[:i] + (values[i] + by,) + values[i + 1 :]
+
+
+def _perturbations(c):
+    """Each stated number of a configuration row, changed on its own."""
+    for i in range(3):
+        yield f"squares[{i}]", c._replace(squares=_bumped(c.squares, i, 2))
+    for i in range(7):
+        yield f"x_curves[{i}]", c._replace(x_curves=_bumped(c.x_curves, i, 1))
+        yield f"y_curves[{i}]", c._replace(y_curves=_bumped(c.y_curves, i, 1))
+    if c.adjoined is not None:
+        name, doubled = c.adjoined
+        for i in range(len(doubled)):
+            yield f"adjoined[{i}]", c._replace(adjoined=(name, _bumped(doubled, i, 2)))
+
+
+@pytest.mark.parametrize("config", _CONFIGURATIONS, ids=lambda c: c.name)
+def test_every_stated_number_reaches_the_isometry_check(config):
+    assert _verify_configuration(config).verified
+    for field, changed in _perturbations(config):
+        try:
+            verified = _verify_configuration(changed).verified
+        except ValueError:  # the changed numbers give no even integral lattice
+            verified = False
+        assert not verified, field
 
 
 def test_descriptor_json_shape():
