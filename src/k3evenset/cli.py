@@ -86,11 +86,15 @@ def _cmd_overlattice(args) -> int:
         support = frozenset(glue_indices(family))
     else:
         try:
-            support = frozenset(int(x) for x in args.support.split(","))
+            indices = [int(x) for x in args.support.split(",")]
         except ValueError:
             raise ValueError(
                 f"support must be comma-separated indices in 1..8, got {args.support!r}"
             ) from None
+        for i, index in enumerate(indices):
+            if index in indices[:i]:
+                raise ValueError(f"support repeats index {index}, got {args.support!r}")
+        support = frozenset(indices)
     glue_vector = GlueVector(support)
     if len(support) == 8:
         raise ValueError("support 1..8 gives v = 2*Nhat, and v/2 already lies in N")

@@ -409,10 +409,22 @@ def glue_pairings(base: IntegerLattice, glue: FrameVector) -> tuple[list[int], i
     return [sum(map(mul, row, gx)) for row in rows], dx * s, sum(map(mul, xi, gx)), dx * dx
 
 
+@cache
+def _even_glues() -> tuple[GlueVector, ...]:
+    """One GlueVector per even support, ordered by size and then support.
+
+    Every d's glue classes hold these objects, so the per-d memo of
+    admissible_glues stores references, not 56 or 70 new glues per d.
+    """
+    return tuple(
+        GlueVector(frozenset(s)) for size in range(0, 9, 2) for s in combinations(range(1, 9), size)
+    )
+
+
 def glue_classes(d: int) -> list[list[GlueVector]]:
     """All admissible glue vectors for L^2 = 2d, grouped into equivalence classes.
 
-    The scan runs over all 2^8 supports; callers validate each survivor.
+    The scan runs over the 128 even supports; callers validate each survivor.
     Grouping uses the two equivalence mechanisms of the uniqueness proof
     (support size and complement); one representative pair per size
     combination is verified against literal overlattice equality through
@@ -420,13 +432,7 @@ def glue_classes(d: int) -> list[list[GlueVector]]:
     """
     if d <= 0:
         raise ValueError("d must be positive")
-    supports = [
-        frozenset(s)
-        for size in range(0, 9, 2)
-        for s in combinations(range(1, 9), size)
-    ]
-    found = [GlueVector(s) for s in supports if glue_admissible(d, GlueVector(s))]
-    found.sort(key=lambda g: (len(g.support), g.sorted_support()))
+    found = [g for g in _even_glues() if glue_admissible(d, g)]
     classes: list[list[GlueVector]] = []
     verified_pairs: set[tuple[int, int]] = set()
     for g in found:
@@ -445,15 +451,20 @@ def glue_classes(d: int) -> list[list[GlueVector]]:
     return classes
 
 
-def admissible_glues(d: int) -> list[list[GlueVector]]:
-    """glue_classes(d), each glue validated by the direct pairing checks."""
+@cache
+def admissible_glues(d: int) -> tuple[tuple[GlueVector, ...], ...]:
+    """glue_classes(d), each glue validated by the direct pairing checks.
+
+    The classification is fixed by d, so it is computed once per d and
+    shared as a tuple of tuples; a bad d raises on every call.
+    """
     classes = glue_classes(d)
     base = make(NSFamily(KIND_L, d))
     root = base.root()
     for cls in classes:
         for g in cls:
             validate_glue(base, g.glue_class(root))
-    return classes
+    return tuple(map(tuple, classes))
 
 
 def overlattice(base: IntegerLattice, glue: FrameVector) -> IntegerLattice:

@@ -13,6 +13,7 @@ match it exactly.
 from __future__ import annotations
 
 import json
+from functools import cache
 from importlib import resources
 from typing import NamedTuple, Optional
 
@@ -56,14 +57,16 @@ def fibration_euler_check(config: FiberConfiguration) -> bool:
 
 
 class ProjectiveModelDescriptor(NamedTuple):
+    """Immutable throughout (tuples, not lists), so one descriptor can be shared."""
+
     family: NSFamily
     polarization: str
     map_kind: str
     target: str
-    target_dim: object  # int, or [int, int] for product models
+    target_dim: object  # int, or (int, int) for product models
     degree: Optional[int] = None
     h0: Optional[int] = None
-    pair_gram: Optional[list] = None
+    pair_gram: Optional[tuple] = None
     images: Optional[tuple] = None
     fibers: Optional[FiberConfiguration] = None
 
@@ -72,19 +75,28 @@ class ProjectiveModelDescriptor(NamedTuple):
             "polarization": self.polarization,
             "map_kind": self.map_kind,
             "target": self.target,
-            "target_dim": self.target_dim,
+            "target_dim": _json_copy(self.target_dim),
         }
         if self.degree is not None:
             out["degree"] = self.degree
         if self.h0 is not None:
             out["h0"] = self.h0
         if self.pair_gram is not None:
-            out["pair_gram"] = self.pair_gram
+            out["pair_gram"] = _json_copy(self.pair_gram)
         if self.images is not None:
-            out["images"] = [list(i) if isinstance(i, tuple) else i for i in self.images]
+            out["images"] = _json_copy(self.images)
         if self.fibers is not None:
             out["fibers"] = {"I1": self.fibers.i1, "I2": self.fibers.i2}
         return out
+
+
+def _json_copy(value):
+    """value as JSON data, tuples as lists, in new containers only."""
+    if isinstance(value, dict):
+        return {k: _json_copy(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_copy(v) for v in value]
+    return value
 
 
 _IMAGE_NAMES = {0: "node", 1: "line", 2: "conic"}
@@ -125,9 +137,18 @@ def double_cover_target(
 
 
 def model_descriptor(family: NSFamily | str, polarization: str) -> ProjectiveModelDescriptor:
-    """Projective-model data of one polarization, from lattice computations only."""
+    """Projective-model data of one polarization, from lattice computations only.
+
+    The data is fixed by (family, polarization), so it is computed once per
+    pair and the descriptor is shared; a refused pair raises on every call.
+    """
     if isinstance(family, str):
         family = parse_family(family)
+    return _model_descriptor(family, polarization)
+
+
+@cache
+def _model_descriptor(family: NSFamily, polarization: str) -> ProjectiveModelDescriptor:
     if family.side != "L":
         raise ValueError(f"{family}: model descriptors are computed on the even-set side")
     ns = make(family)
@@ -187,7 +208,7 @@ def _product_descriptor(
     first = parse_divisor(ns, first_name)
     second = parse_divisor(ns, second_name)
     h0s = [riemann_roch_h0(ns, v)[0] for v in (first, second)]
-    dims = [h - 1 for h in h0s]
+    dims = tuple(h - 1 for h in h0s)
     images = tuple(
         (_image_type(inner(first, n)), _image_type(inner(second, n)))
         for n in canonical_octet(ns)
@@ -211,21 +232,23 @@ def polarization_pair_gram(family: NSFamily | str, first: str, second: str) -> I
     return IntMatrix(_pair_gram(parse_divisor(ns, first), parse_divisor(ns, second)))
 
 
-def _pair_gram(a: FrameVector, b: FrameVector) -> list[list[int]]:
+def _pair_gram(a: FrameVector, b: FrameVector) -> tuple[tuple[int, ...], ...]:
     """The 2x2 Gram matrix of two divisors, as integers."""
-    return [[int(inner(u, v)) for v in (a, b)] for u in (a, b)]
+    return tuple(tuple(int(inner(u, v)) for v in (a, b)) for u in (a, b))
 
 
 # --- the model table ---------------------------------------------------------
 
 
+@cache
 def table1_golden() -> dict:
+    """The packaged golden table, parsed once per process and shared: never edit it."""
     with resources.files("k3evenset.data").joinpath("table1_golden.json").open() as fh:
         return json.load(fh)
 
 
 def _golden_rows(family: NSFamily | str | None) -> list[dict]:
-    """The golden rows of one family (a label is parsed), or all for None."""
+    """The shared golden rows of one family (a label is parsed), or all for None."""
     rows = table1_golden()["rows"]
     if family is None:
         return rows
@@ -263,7 +286,7 @@ def verify_table1(family: NSFamily | str | None = None) -> list[dict]:
         )
         for entry in row["models"]:
             computed = model_descriptor(fam, entry["polarization"]).to_json()
-            expected = {k: v for k, v in entry.items() if k != "text"}
+            expected = {k: _json_copy(v) for k, v in entry.items() if k != "text"}
             reports.append(
                 {
                     "family": row["family"],

@@ -9,6 +9,8 @@ import pytest
 
 import k3evenset
 from k3evenset.cli import build_parser, main
+from k3evenset.families import admissible_glues
+from k3evenset.models import _model_descriptor
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +92,14 @@ def test_overlattice_rejects_non_integer_support(capsys, support):
     assert code == 2
     assert out == ""
     assert err == f"error: support must be comma-separated indices in 1..8, got {support!r}\n"
+
+
+@pytest.mark.parametrize("support, index", [("1,1,2,2", 1), ("1,1,2,3", 1), ("3,5,6,5", 5)])
+def test_overlattice_rejects_repeated_support_index(capsys, support, index):
+    code, out, err = run_cli(capsys, "overlattice", "L:2d=4", "--support", support)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: support repeats index {index}, got {support!r}\n"
 
 
 def test_ample(capsys):
@@ -222,6 +232,34 @@ def test_json_output_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "--format", "json", "glues", "2")
     _, out2, _ = run_cli(capsys, "--format", "json", "glues", "2")
     assert out1 == out2
+
+
+def _memo_hits():
+    return admissible_glues.cache_info().hits + _model_descriptor.cache_info().hits
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "argv", [["glues", "6"], ["glues", "60"], ["table1", "L':2d=12"], ["table1"]], ids=" ".join
+)
+def test_second_call_answers_from_the_memo_byte_identically(capsys, fmt, argv):
+    admissible_glues.cache_clear()
+    _model_descriptor.cache_clear()
+    first = run_cli(capsys, "--format", fmt, *argv)
+    hits = _memo_hits()
+    second = run_cli(capsys, "--format", fmt, *argv)
+    assert _memo_hits() > hits
+    assert first[0] == 0
+    assert second == first
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["glues", "0"], "d must be positive"), (["table1", "L:2d=14"], "L:2d=14 is not tabulated")],
+)
+def test_refused_input_exits_2_on_every_repeat(capsys, argv, message):
+    for _ in range(3):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -129,6 +129,13 @@ def test_admissible_glue_counts(d, count):
     assert sorted(g.support for cls in classes for g in cls) == sorted(brute_force_glues(d))
 
 
+def test_admissible_glues_are_shared_tuples():
+    classes = admissible_glues(6)
+    assert admissible_glues(6) is classes
+    assert type(classes) is tuple
+    assert all(type(cls) is tuple for cls in classes)
+
+
 def test_glue_sizes_per_parity():
     sizes = {len(g.support) for cls in admissible_glues(2) for g in cls}
     assert sizes == {2, 6}
@@ -309,6 +316,7 @@ def _count_fractions(monkeypatch, work):
 
 @pytest.mark.parametrize("d", [3, 4, 12, 13])
 def test_admissible_glues_builds_no_fraction(monkeypatch, d):
+    admissible_glues.cache_clear()  # count a cold classification, not a memo hit
     classes, calls = _count_fractions(monkeypatch, lambda: admissible_glues(d))
     assert sum(len(c) for c in classes) == (70 if d % 4 == 0 else 0)
     assert calls == []

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from k3evenset.chow import intersection_matrix, parse_ci
@@ -74,10 +76,10 @@ def test_descriptor_product_rows():
     d = model_descriptor("L':2d=16", "L1xL2")
     assert d.map_kind == "product_embedding"
     assert d.target == "P2xP2"
-    assert d.pair_gram == [[2, 4], [4, 2]]
+    assert d.pair_gram == ((2, 4), (4, 2))
     d = model_descriptor("L':2d=12", "L2xL1")
     assert d.target == "P1xP2"
-    assert d.pair_gram == [[0, 3], [3, 2]]
+    assert d.pair_gram == ((0, 3), (3, 2))
 
 
 def test_descriptor_rejects_non_nef_polarization():
@@ -88,6 +90,38 @@ def test_descriptor_rejects_non_nef_polarization():
 def test_descriptor_rejects_m_side():
     with pytest.raises(ValueError, match="even-set side"):
         model_descriptor("M:2d'=4", "L")
+
+
+def test_descriptor_is_computed_once_per_pair():
+    d = model_descriptor("L:2d=08", "L")
+    assert model_descriptor(parse_family("L:2d=8"), "L") is d
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not nef"):
+            model_descriptor("L':2d=4", "L-Nhat")
+
+
+def _scribble(data):
+    """Edit every list and dict inside JSON-shaped data in place."""
+    if isinstance(data, dict):
+        for value in data.values():
+            _scribble(value)
+        data["scribbled"] = True
+    elif isinstance(data, list):
+        for value in data:
+            _scribble(value)
+        data.append("scribbled")
+
+
+def test_edited_answers_do_not_change_later_answers():
+    snapshot = json.dumps(verify_table1(), sort_keys=True)
+    _scribble(verify_table1())
+    assert json.dumps(verify_table1(), sort_keys=True) == snapshot
+    product = model_descriptor("L':2d=16", "L1xL2")
+    hash(product)  # no list or dict inside the shared descriptor
+    data = product.to_json()
+    before = json.dumps(data, sort_keys=True)
+    _scribble(data)
+    assert json.dumps(product.to_json(), sort_keys=True) == before
 
 
 def test_table1_full_regeneration():

@@ -5,8 +5,10 @@
 Each SRC is a directory that holds the `k3evenset` package, such as a
 checkout's `src/`.  For each tree one fresh interpreter imports
 `k3evenset.cli` from that directory and calls `cli.main` in-process on every
-record, capturing the exit code, stdout and stderr.  The records are built
-here from `bench/` (which this script only imports):
+record, capturing the exit code, stdout and stderr; then it answers the whole
+record list a second time, so that answers a process keeps from its first
+pass (glue classes, table-1 descriptors) are checked too.  The records are
+built here from `bench/` (which this script only imports):
 
 * `bench/queries.py` seeds 1-8, one pass of the query mix plus 4 malformed
   queries each, and the 4 bound-fault queries;
@@ -15,8 +17,9 @@ here from `bench/` (which this script only imports):
 * each of the above with `--format json` and with `--format text`;
 * `verify-paper --format json`, compared without its `elapsed_s` fields.
 
-Prints the first differing (argv, stream) and exits 1, or prints
-`identical: N records` and exits 0.
+Prints the first (argv, stream) whose second answer differs from the first
+in one tree, or that differs between the trees, and exits 1; or prints
+`identical: N records, each answered twice` and exits 0.
 """
 
 from __future__ import annotations
@@ -62,31 +65,44 @@ def _drop_elapsed(data):
     return data
 
 
+def answer(cli, argv: list[str]) -> list:
+    """[exit code, stdout, stderr] of one in-process `cli.main` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            rc = exc.code
+        except Exception as exc:  # a crash inside the program is an output too
+            rc = f"{type(exc).__name__}: {exc}"
+    stdout = out.getvalue()
+    if argv == VERIFY_PAPER and stdout:
+        stdout = json.dumps(_drop_elapsed(json.loads(stdout)), indent=2)
+    return [rc, stdout, err.getvalue()]
+
+
 def child() -> None:
-    """Run the records read from stdin through `cli.main`; write the outputs as JSON."""
+    """Answer the records read from stdin twice; write both passes as JSON."""
     import k3evenset.cli as cli
 
     src = Path(sys.argv[1]).resolve()
     if not Path(cli.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"k3evenset was imported from {cli.__file__}, not from {src}")
-    results = []
-    for argv in json.load(sys.stdin):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                rc = cli.main(argv)
-            except SystemExit as exc:  # argparse usage errors
-                rc = exc.code
-            except Exception as exc:  # a crash inside the program is an output too
-                rc = f"{type(exc).__name__}: {exc}"
-        stdout = out.getvalue()
-        if argv == VERIFY_PAPER and stdout:
-            stdout = json.dumps(_drop_elapsed(json.loads(stdout)), indent=2)
-        results.append([rc, stdout, err.getvalue()])
-    json.dump(results, sys.stdout)
+    argvs = json.load(sys.stdin)
+    json.dump([[answer(cli, argv) for argv in argvs] for _ in range(2)], sys.stdout)
+
+
+def first_difference(argvs: list, old: list, new: list, what: str, labels=("old", "new")):
+    """A report of the first (argv, stream) whose answers differ, or None."""
+    for args, a, b in zip(argvs, old, new):
+        for stream, x, y in zip(STREAMS, a, b):
+            if x != y:
+                return f"{what}: {args} {stream}\n--- {labels[0]}\n{x}\n--- {labels[1]}\n{y}"
+    return None
 
 
 def run_tree(src: Path, argvs: list) -> list:
+    """The two passes of answers of the tree at src."""
     code = f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import same_outputs as s; s.child()"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
@@ -109,12 +125,16 @@ def main(argv: list[str]) -> int:
             return 2
     argvs = records()
     old, new = (run_tree(src, argvs) for src in srcs)
-    for args, a, b in zip(argvs, old, new):
-        for stream, x, y in zip(STREAMS, a, b):
-            if x != y:
-                print(f"differs: {args} {stream}\n--- old\n{x}\n--- new\n{y}")
-                return 1
-    print(f"identical: {len(argvs)} records")
+    diffs = [
+        first_difference(argvs, *passes, f"{src}: the second answer differs", ("first", "second"))
+        for src, passes in zip(srcs, (old, new))
+    ]
+    diffs.append(first_difference(argvs, old[0], new[0], "differs"))
+    for diff in diffs:
+        if diff is not None:
+            print(diff)
+            return 1
+    print(f"identical: {len(argvs)} records, each answered twice")
     return 0
 
 
