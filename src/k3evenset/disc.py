@@ -4,7 +4,9 @@ The group is the cokernel of the Gram matrix.  With U*G*V = D in Smith form,
 A_L is the direct sum of Z/d_i over the nontrivial invariant factors, and a
 generator of the Z/d_i summand lifts to the rational vector G^-1 * (column i
 of U^-1) = V * D^-1 * e_i, i.e. column i of V divided by d_i, expressed in
-the lattice's own basis.  No matrix is inverted.
+the lattice's own basis.  No matrix is inverted.  Each lift is built as
+integer numerators over d_i; Fraction appears only in the value of
+`discriminant_form`, through `inner`.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def _smith_group(lat: IntegerLattice) -> DiscriminantGroup:
         order *= di
         # generator of the Z/d_i summand: G^-1 U^-1 e_i = V D^-1 e_i, with the
         # coordinates reduced into [0, 1) for a canonical representative
-        lifts.append(lat.vector([Fraction(row[i] % di, di) for row in snf.right.entries]))
+        lifts.append(FrameVector(lat, [row[i] % di for row in snf.right.entries], di))
     return DiscriminantGroup(tuple(factors), tuple(lifts), order)
 
 

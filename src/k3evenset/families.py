@@ -401,10 +401,11 @@ def glue_pairings(base: IntegerLattice, glue: FrameVector) -> tuple[list[int], i
 
     One integer product gx = G xi over the root Gram, for glue = xi / dx,
     serves every pairing: b_i = B[i] / s gives glue . b_i = B[i] . gx / (dx s)
-    and glue . glue = xi . gx / dx^2.  The glue must share base's root frame.
+    and glue . glue = xi . gx / dx^2.  The glue must share base's root frame,
+    whose Gram is the one glue.gram_row() reads.
     """
     xi, dx = glue.root_scaled()
-    gx = [sum(map(mul, row, xi)) for row in base.root().gram.entries]
+    gx = glue.gram_row()
     rows, s = base.basis_in_root_scaled()
     return [sum(map(mul, row, gx)) for row in rows], dx * s, sum(map(mul, xi, gx)), dx * dx
 

@@ -12,9 +12,11 @@ comes from `coords_in`, which reads one cached integer solver per lattice:
 a framed lattice composes its parent's solver with the Hermite form of its
 own frame, so no Smith form is taken; `is_primitive` reads a Hermite form
 too.  `short_vectors` enumerates on the integer symmetric elimination of
-`exactlin`.  Fraction appears only in `vector()` input, in the values of
-`inner` and in the display and sort accessors `coords()` and
-`root_coords()`.
+`exactlin`.  A pairing is one integer dot product of the second vector with
+the row G x of the first, cached on it (`gram_row`); `inner_scaled` returns
+it over its denominator.  Fraction appears only in `vector()` input, in the
+value `inner` returns and in the display and comparison accessors `coords()`
+and `root_coords()`.
 """
 
 from __future__ import annotations
@@ -214,7 +216,7 @@ class IntegerLattice:
 class FrameVector:
     """Exact rational coordinate vector expressed in a lattice's basis."""
 
-    __slots__ = ("lattice", "numerators", "denominator", "_root_scaled_cache")
+    __slots__ = ("lattice", "numerators", "denominator", "_root_scaled_cache", "_gram_row_cache")
 
     def __init__(self, lattice: IntegerLattice, numerators: Sequence[int], denominator: int):
         if denominator <= 0:
@@ -232,6 +234,7 @@ class FrameVector:
         self.numerators = tuple(int(n) for n in numerators)
         self.denominator = int(denominator)
         self._root_scaled_cache = None
+        self._gram_row_cache = None
 
     def coords(self) -> tuple[Fraction, ...]:
         d = self.denominator
@@ -249,6 +252,15 @@ class FrameVector:
                         out[j] += n * row[j]
             self._root_scaled_cache = (tuple(out), self.denominator * s)
         return self._root_scaled_cache
+
+    def gram_row(self) -> tuple[int, ...]:
+        """G x for the root Gram G and x = root_scaled()[0]; it pairs this
+        vector with any vector of a compatible frame, whose root has the
+        same Gram."""
+        if self._gram_row_cache is None:
+            xi = self.root_scaled()[0]
+            self._gram_row_cache = tuple(sum(map(mul, row, xi)) for row in self.root().gram.entries)
+        return self._gram_row_cache
 
     def root_coords(self) -> tuple[Fraction, ...]:
         ints, den = self.root_scaled()
@@ -361,21 +373,20 @@ def frames_compatible(a: IntegerLattice, b: IntegerLattice) -> bool:
     )
 
 
-def inner(x: FrameVector, y: FrameVector) -> Fraction:
-    """Exact value of the bilinear form on two vectors sharing a frame."""
+def inner_scaled(x: FrameVector, y: FrameVector) -> tuple[int, int]:
+    """(n, den) with x . y = n / den and den > 0, not reduced, for two
+    vectors sharing a frame; reads the cached gram_row() of x."""
     if not frames_compatible(x.lattice, y.lattice):
         raise ValueError(
             f"inner product across incompatible frames ({x.lattice.name} vs {y.lattice.name})"
         )
-    xi, dx = x.root_scaled()
     yi, dy = y.root_scaled()
-    g = x.root().gram.entries
-    total = 0
-    for i, a in enumerate(xi):
-        if a:
-            row = g[i]
-            total += a * sum(row[j] * b for j, b in enumerate(yi) if b)
-    return Fraction(total, dx * dy)
+    return sum(map(mul, x.gram_row(), yi)), x.root_scaled()[1] * dy
+
+
+def inner(x: FrameVector, y: FrameVector) -> Fraction:
+    """Exact value of the bilinear form on two vectors sharing a frame."""
+    return Fraction(*inner_scaled(x, y))
 
 
 def coords_in(lat: IntegerLattice, x: FrameVector, k: int = 1) -> Optional[tuple[int, ...]]:

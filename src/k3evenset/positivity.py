@@ -36,7 +36,15 @@ from math import gcd
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .lattice import FrameVector, IntegerLattice, contains, content, inner, vector_to_json
+from .lattice import (
+    FrameVector,
+    IntegerLattice,
+    contains,
+    content,
+    inner,
+    inner_scaled,
+    vector_to_json,
+)
 from .families import canonical_octet, l_frame_d
 
 STATUS_AMPLE = "ample"
@@ -93,10 +101,12 @@ def _family_frame(ns: IntegerLattice) -> tuple[int, int]:
     return d, s // gcd(s, *(row[0] for row in b))
 
 
-def _half_coords(divisor: FrameVector) -> tuple[int, list[int]]:
-    """(2p, [2q_i]) of a lattice point of a lattice _family_frame accepts."""
-    (p, *qs), den = divisor.root_scaled()
-    return 2 * p // den, [2 * q // den for q in qs]
+def _twice_root_coords(v: FrameVector) -> tuple[int, ...]:
+    """(2p, 2q_1, ..., 2q_8), integers, for a lattice point of a lattice
+    _family_frame accepts; as a sort key it orders such points exactly as
+    root_coords() does."""
+    ints, den = v.root_scaled()
+    return tuple(2 * x // den for x in ints)
 
 
 def _a_grid(d: int, p2: int, q2: Sequence[int], a_den: int, c: int, m: int) -> int:
@@ -179,16 +189,17 @@ def _candidates(
 
 def _obstructing_roots(
     ns: IntegerLattice, divisor: FrameVector
-) -> tuple[Fraction, Fraction, list[tuple[FrameVector, int]]]:
+) -> tuple[int, Fraction, list[tuple[FrameVector, int]]]:
     """(D^2, a_max, [(C, 2 D.C)]): the checks and search shared by
     enumerate_obstructing_roots and classify_positivity."""
     d, a_den = _family_frame(ns)
     if not contains(ns, divisor):
         raise ValueError(f"divisor {divisor!r} is not a lattice point of {ns.name}")
-    d2 = inner(divisor, divisor)
+    n, den = inner_scaled(divisor, divisor)
+    d2 = n // den  # exact: divisor is a point of the even lattice ns
     if d2 < 0:
         raise ValueError(f"divisor has negative self-intersection {d2}")
-    p2, q2 = _half_coords(divisor)
+    p2, *q2 = _twice_root_coords(divisor)
     if p2 <= 0 or any(q > 0 for q in q2):
         raise ValueError(
             "divisor must have positive L-coefficient and non-positive N-coefficients"
@@ -213,7 +224,7 @@ def classify_positivity(ns: IntegerLattice, divisor: FrameVector) -> PositivityR
     d2, a_max, roots = _obstructing_roots(ns, divisor)
     obstructors = []
     for n_i in canonical_octet(ns):
-        v = inner(divisor, n_i)
+        v = inner_scaled(divisor, n_i)[0]  # the sign of D.N_i
         if v <= 0:
             obstructors.append((n_i, v))
     obstructors += roots
@@ -226,7 +237,7 @@ def classify_positivity(ns: IntegerLattice, divisor: FrameVector) -> PositivityR
     )
 
     def lex_min(vectors: list[FrameVector]) -> FrameVector:
-        return min(vectors, key=lambda c: c.root_coords())
+        return min(vectors, key=_twice_root_coords)
 
     if negative:
         status, witness = STATUS_NOT_NEF, lex_min(negative)
@@ -238,7 +249,7 @@ def classify_positivity(ns: IntegerLattice, divisor: FrameVector) -> PositivityR
         status, witness = STATUS_AMPLE, None
     return PositivityReport(
         divisor=divisor,
-        self_intersection=int(d2),
+        self_intersection=d2,
         status=status,
         witness=witness,
         search_bound=a_max,
@@ -286,7 +297,7 @@ def isotropic_classes(
     dots = sorted(set(int(t) for t in dots))
     if not dots or dots[0] <= 0:
         raise ValueError("requested intersection values must be positive")
-    p2, q2 = _half_coords(divisor)
+    p2, *q2 = _twice_root_coords(divisor)
     if p2 <= 0:
         raise ValueError("isotropic search requires a divisor with positive L-coefficient")
     wanted = {2 * t for t in dots}
@@ -354,7 +365,7 @@ def pencil_decomposition(
                     and inner(e, g1) == 1
                     and contains(ns, g1)
                 ):
-                    pair = sorted((g0, g1), key=lambda c: c.root_coords())
+                    pair = sorted((g0, g1), key=_twice_root_coords)
                     return PencilDecomposition(a, e, tuple(pair))
     return None
 
@@ -363,7 +374,7 @@ def _orthogonal_witnesses(ns: IntegerLattice, divisor: FrameVector) -> list[Fram
     """All roots orthogonal to a pseudo-ample divisor (candidates for fixed curves)."""
     out = [n_i for n_i in canonical_octet(ns) if inner(divisor, n_i) == 0]
     out += [c for c, dc in _obstructing_roots(ns, divisor)[2] if dc == 0]
-    out.sort(key=lambda c: c.root_coords())
+    out.sort(key=_twice_root_coords)
     return out
 
 

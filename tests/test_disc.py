@@ -8,8 +8,8 @@ from k3evenset.disc import (
     discriminant_group,
     group_from_factors,
 )
-from k3evenset.exactlin import IntMatrix
-from k3evenset.families import GlueVector, make, overlattice
+from k3evenset.exactlin import IntMatrix, smith_normal_form
+from k3evenset.families import GlueVector, families_for, make, overlattice
 from k3evenset.lattice import IntegerLattice, contains, inner
 
 
@@ -55,6 +55,21 @@ def test_order_equals_abs_det_and_lift_invariants():
                 assert inner(lift, b).denominator == 1
             # canonical representative has coordinates in [0, 1)
             assert all(0 <= c < 1 for c in lift.coords())
+    # each lift is the Fraction construction column i of V over d_i, for
+    # every family with d <= 12 and an overlattice
+    base = make("L:2d=8")
+    lattices = [make(f.label()) for d in range(1, 13) for f in families_for(d)]
+    lattices.append(overlattice(base, GlueVector(frozenset({1, 2, 3, 4})).glue_class(base.root())))
+    for lat in lattices:
+        snf = smith_normal_form(lat.gram)
+        right = snf.right.entries
+        nontrivial = [(i, di) for i, di in enumerate(snf.diag) if di > 1]
+        lifts = discriminant_group(lat).lifts
+        assert len(lifts) == len(nontrivial)
+        for lift, (i, di) in zip(lifts, nontrivial):
+            old = lat.vector([Fraction(row[i] % di, di) for row in right])
+            assert lift.lattice is lat
+            assert (lift.numerators, lift.denominator) == (old.numerators, old.denominator)
 
 
 def test_overlattice_group_order_drops_by_four():

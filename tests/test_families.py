@@ -27,6 +27,7 @@ from k3evenset.families import (
     validate_glue,
 )
 from k3evenset.lattice import contains, inner, is_primitive, lattice_to_json, same_lattice
+from k3evenset.positivity import classify_positivity
 
 
 def test_parse_family_grammar():
@@ -326,6 +327,25 @@ def test_criterion_glue_classification_builds_no_fraction(monkeypatch):
     result, calls = _count_fractions(monkeypatch, lambda: criterion_glue_classification(12))
     assert result.failures == []
     assert calls == []
+
+
+def test_discriminant_group_of_a_fresh_lattice_builds_no_fraction(monkeypatch):
+    base = make("L:2d=8")
+    over = overlattice(base, GlueVector(frozenset({1, 2, 3, 4})).glue_class(base.root()))
+    group, calls = _count_fractions(monkeypatch, lambda: discriminant_group(over))
+    assert group.invariant_factors == (2, 2, 2, 2, 8)
+    assert calls == []
+
+
+@pytest.mark.parametrize("text, status", [("L-Nhat", "ample"), ("L-N1-N2", "pseudo_ample")])
+def test_classify_positivity_builds_only_its_search_bound(monkeypatch, text, status):
+    # pairings, the root search and the witness order stay in integers; the
+    # one Fraction built is the reported a_max
+    ns = make("L:2d=12")
+    divisor = parse_divisor(ns, text)
+    report, calls = _count_fractions(monkeypatch, lambda: classify_positivity(ns, divisor))
+    assert report.status == status
+    assert len(calls) == 1 and Fraction(*calls[0]) == report.search_bound
 
 
 def test_parse_divisor_builds_no_fraction(monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from k3evenset.disc import discriminant_group
 from k3evenset.exactlin import IntMatrix, signature
 from k3evenset.families import (
     canonical_octet,
@@ -17,6 +18,7 @@ from k3evenset.lattice import (
     contains,
     content,
     coords_in,
+    frames_compatible,
     inner,
     is_primitive,
     isometry_from_basis_map,
@@ -64,6 +66,46 @@ def test_inner_is_bilinear_and_even():
         assert inner(x, y) == inner(y, x)
         z = x + y
         assert inner(z, z) == inner(x, x) + 2 * inner(x, y) + inner(y, y)
+    # against a Fraction sum over the Gram: dual lifts with non-integral
+    # pairings and random rational vectors, each x paired with every y (its
+    # cached G x row is reused), and y read in ns, in its root and in a
+    # structurally equal but distinct root
+    ns = make("L:2d=6")
+    root = ns.root()
+    twin = IntegerLattice(root.name, root.gram, root.basis_names)
+    assert twin is not root and frames_compatible(ns, twin)
+    coords = [v.coords() for v in discriminant_group(ns).lifts]
+    coords += [[Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(9)] for _ in range(8)]
+    non_integral = 0
+    for cx in coords:
+        x = ns.vector(cx)
+        rx = _root_coords_by_fractions(ns, cx)
+        for cy in coords:
+            want = _gram_sum(ns.gram, cx, cy)
+            ry = _root_coords_by_fractions(ns, cy)
+            assert _gram_sum(root.gram, rx, ry) == want
+            for y in (ns.vector(cy), root.vector(ry), twin.vector(ry)):
+                got = inner(x, y)
+                assert type(got) is Fraction and got == want
+            assert inner(twin.vector(rx), ns.vector(cy)) == want
+            non_integral += want.denominator > 1
+        assert x.gram_row() is x.gram_row()
+    assert non_integral > 100
+
+
+def _root_coords_by_fractions(lat, coords):
+    """Root-frame coordinates, by walking the frame chain in Fractions."""
+    coords = [Fraction(c) for c in coords]
+    while lat.frame is not None:
+        parent, rows, s = lat.frame
+        coords = [sum(c * row[j] for c, row in zip(coords, rows)) / s for j in range(parent.rank)]
+        lat = parent
+    return coords
+
+
+def _gram_sum(gram, a, b):
+    n = len(a)
+    return sum(Fraction(a[i]) * gram[i, j] * b[j] for i in range(n) for j in range(n))
 
 
 def test_inner_rejects_frame_mismatch():

@@ -6,6 +6,8 @@ from k3evenset.families import canonical_octet, make, parse_divisor, split_root_
 from k3evenset.lattice import IntegerLattice, contains, inner, short_vectors
 from k3evenset.positivity import (
     _family_frame,
+    _orthogonal_witnesses,
+    _twice_root_coords,
     classify_positivity,
     enumerate_obstructing_roots,
     hyperelliptic_test,
@@ -19,6 +21,39 @@ from k3evenset.positivity import (
 def divisor(family, text):
     ns = make(family)
     return ns, parse_divisor(ns, text)
+
+
+def _criterion3_cases(dmax=12):
+    """The (family, divisor) pairs of the criterion-3 positivity suite."""
+    cases = [(f"L:2d={2 * d}", "L-Nhat") for d in range(3, dmax + 1)]
+    cases += [("L:2d=4", f"{m}L-Nhat") for m in ("", "2", "3")]
+    for d in range(2, dmax + 1):
+        for r in range(1, min(d, 9)):
+            cases.append((f"L:2d={2 * d}", "L-" + "-".join(f"N{i}" for i in range(1, r + 1))))
+    return cases
+
+
+def test_integer_sort_key_orders_as_root_coords():
+    # every vector the root search ranks: the octet members and roots that
+    # obstruct, and the fixed-curve candidates of pencil_decomposition
+    groups = []
+    for family, text in _criterion3_cases() + [("L':2d=4", "L"), ("L':2d=8", "L")]:
+        ns, dv = divisor(family, text)
+        octet = [n for n in canonical_octet(ns) if inner(dv, n) <= 0]
+        groups.append(octet + enumerate_obstructing_roots(ns, dv))
+        if classify_positivity(ns, dv).status == "pseudo_ample":
+            groups.append(_orthogonal_witnesses(ns, dv))
+    pd = pencil_decomposition(*divisor("L':2d=4", "L"))
+    groups.append(list(pd.fixed_part))
+    assert sum(map(len, groups)) > 500
+    for vectors in groups:
+        for v in vectors:
+            twice = [2 * c for c in v.root_coords()]
+            assert all(t.denominator == 1 for t in twice)
+            assert _twice_root_coords(v) == tuple(twice)
+        by_int = sorted(vectors, key=_twice_root_coords)
+        by_fraction = sorted(vectors, key=lambda c: c.root_coords())
+        assert [id(v) for v in by_int] == [id(v) for v in by_fraction]
 
 
 def test_search_grid_comes_from_the_basis():
