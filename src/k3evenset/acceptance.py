@@ -3,11 +3,20 @@
 Each criterion returns a CriterionResult with the computed-vs-expected
 details; `run_all` drives the whole battery.  The CLI's verify-paper
 subcommand renders these, and the test suite asserts them one by one.
+
+Criterion 8's 1,000 SNF trials run in two stripes, the odd trials in a
+forked child, where os.fork exists, at least 2 CPUs are usable and no
+other thread runs; otherwise they run in one process.  Either way the
+output is identical.  Only criterion 8 forks: it runs last, while a fork
+earlier in the battery would leave every page copy-on-write and slow
+criteria 3-7 with page faults.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import threading
 import time
 from fractions import Fraction
 from math import isqrt, lcm
@@ -373,30 +382,7 @@ def criterion_sufficient_conditions(dmax: int = 12) -> CriterionResult:
 
 def criterion_properties(dmax: int = 12, matrices: int = 1000) -> CriterionResult:
     def body(failures):
-        rng = random.Random(20080514)
-        for trial in range(matrices):
-            n = rng.randint(1, 9)
-            m = IntMatrix(
-                [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
-            )
-            snf = smith_normal_form(m)
-            if snf.left.mul(m).mul(snf.right) != IntMatrix.diagonal(snf.diag, n, n):
-                failures.append(f"trial {trial}: L*M*R != diag")
-                break
-            if abs(det(snf.left)) != 1 or abs(det(snf.right)) != 1:
-                failures.append(f"trial {trial}: transforms not unimodular")
-                break
-            dm = det(m)
-            prod = 1
-            for x in snf.diag:
-                prod *= x
-            if abs(dm) != prod:
-                failures.append(f"trial {trial}: |det| != product of invariant factors")
-                break
-            for i in range(len(snf.diag) - 1):
-                if snf.diag[i] and snf.diag[i + 1] % snf.diag[i] != 0:
-                    failures.append(f"trial {trial}: divisibility chain broken")
-                    break
+        failures += _snf_failures(_snf_trials(matrices))
         # signature invariance under random unimodular congruence
         rng2 = random.Random(977)
         for trial in range(50):
@@ -445,6 +431,138 @@ def criterion_properties(dmax: int = 12, matrices: int = 1000) -> CriterionResul
             failures.append("an M family with even d' contains (-2)-classes")
 
     return _timed(8, "property suites: random-matrix invariants, evenness, even sets", body)
+
+
+def _snf_trials(matrices: int) -> list[IntMatrix]:
+    """The random square matrices of the SNF property trials, in trial order."""
+    rng = random.Random(20080514)
+    trials = []
+    for _ in range(matrices):
+        n = rng.randint(1, 9)
+        trials.append(IntMatrix([[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]))
+    return trials
+
+
+def _snf_check(trial: int, m: IntMatrix):
+    """(message, stops) for a failing SNF trial, None for a passing one.
+
+    A failure of L*M*R, unimodularity or the determinant stops the suite; a
+    broken divisibility chain is reported and the trials go on.
+    """
+    n = m.rows
+    snf = smith_normal_form(m)
+    if snf.left.mul(m).mul(snf.right) != IntMatrix.diagonal(snf.diag, n, n):
+        return f"trial {trial}: L*M*R != diag", True
+    if abs(det(snf.left)) != 1 or abs(det(snf.right)) != 1:
+        return f"trial {trial}: transforms not unimodular", True
+    prod = 1
+    for x in snf.diag:
+        prod *= x
+    if abs(det(m)) != prod:
+        return f"trial {trial}: |det| != product of invariant factors", True
+    for i in range(len(snf.diag) - 1):
+        if snf.diag[i] and snf.diag[i + 1] % snf.diag[i] != 0:
+            return f"trial {trial}: divisibility chain broken", False
+    return None
+
+
+def _snf_stripe(trials: list, start: int, step: int) -> list:
+    """(trial, outcome) for each failing or raising trial of start, start+step, ...
+
+    An outcome is the (message, stops) of _snf_check or the exception the
+    trial raised; the stripe ends at its first outcome that stops the suite.
+    """
+    out = []
+    for trial in range(start, len(trials), step):
+        try:
+            found = _snf_check(trial, trials[trial])
+        except Exception as exc:
+            out.append((trial, exc))
+            break
+        if found:
+            out.append((trial, found))
+            if found[1]:
+                break
+    return out
+
+
+def _merge_stripes(*stripes) -> list[str]:
+    """The serial suite's failure messages: outcomes in trial order, cut after
+    the first that stops it; an exception is raised where it would have been."""
+    failures = []
+    for _, outcome in sorted((e for s in stripes for e in s), key=lambda e: e[0]):
+        if isinstance(outcome, BaseException):
+            raise outcome
+        message, stops = outcome
+        failures.append(message)
+        if stops:
+            break
+    return failures
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _snf_failures(trials: list) -> list[str]:
+    """Failure messages of the SNF trials, equal to one serial pass over them.
+
+    With fork, two usable CPUs and no other thread (a fork copies no thread,
+    and the locks they hold stay held), a forked child checks the odd trials
+    and pickles its outcomes back over a pipe while this process checks the
+    even ones.  Whatever happens, the child is reaped before this returns.
+    """
+    if (
+        len(trials) < 2
+        or not hasattr(os, "fork")
+        or _usable_cpus() < 2
+        or threading.active_count() > 1
+    ):
+        return _merge_stripes(_snf_stripe(trials, 0, 1))
+    import pickle
+    import signal
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: check every trial here
+        os.close(r)
+        os.close(w)
+        return _merge_stripes(_snf_stripe(trials, 0, 1))
+    if pid == 0:  # the child never returns: it reports and exits
+        status = 1
+        try:
+            os.close(r)
+            outcomes = _snf_stripe(trials, 1, 2)
+            try:
+                payload = pickle.dumps(outcomes)
+            except Exception:  # an exception that does not pickle goes as its text
+                trial, exc = outcomes[-1]
+                outcomes[-1] = (trial, RuntimeError(f"{type(exc).__name__}: {exc}"))
+                payload = pickle.dumps(outcomes)
+            with os.fdopen(w, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    with os.fdopen(r, "rb") as pipe:
+        try:
+            mine = _snf_stripe(trials, 0, 2)
+            payload = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0 or not payload:
+        raise RuntimeError(
+            f"criterion 8: the forked SNF stripe exited with status {status} without reporting"
+        )
+    return _merge_stripes(mine, pickle.loads(payload))
 
 
 def _m_family_roots(dprime: int) -> list:

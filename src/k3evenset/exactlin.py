@@ -49,6 +49,10 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not the blocked __setattr__
+        return (IntMatrix, (self.entries,))
+
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 from itertools import combinations
 
@@ -89,6 +91,22 @@ def test_snf_rectangular():
     snf = smith_normal_form(m)
     assert snf.left.mul(m).mul(snf.right) == IntMatrix.diagonal(snf.diag, 2, 3)
     assert snf.diag == (2, 6)
+
+
+@pytest.mark.parametrize(
+    "roundtrip", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy]
+)
+def test_intmatrix_and_snf_result_pickle_and_copy(roundtrip):
+    m = IntMatrix([[2, 4, 4], [-6, 6, 12]])
+    snf = smith_normal_form(m)
+    for original in (m, snf):
+        assert roundtrip(original) == original
+    got = roundtrip(m)
+    assert (got.rows, got.cols) == (2, 3)
+    with pytest.raises(AttributeError, match="immutable"):
+        got.entries = ((0,),)
+    with pytest.raises(AttributeError, match="immutable"):
+        roundtrip(snf).left.rows = 5
 
 
 def test_signature_examples():
