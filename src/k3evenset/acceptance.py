@@ -382,7 +382,7 @@ def criterion_sufficient_conditions(dmax: int = 12) -> CriterionResult:
 
 def criterion_properties(dmax: int = 12, matrices: int = 1000) -> CriterionResult:
     def body(failures):
-        failures += _snf_failures(_snf_trials(matrices))
+        failures.extend(_snf_failures(_snf_trials(matrices)))
         # signature invariance under random unimodular congruence
         rng2 = random.Random(977)
         for trial in range(50):
