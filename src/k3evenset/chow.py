@@ -178,8 +178,8 @@ def ci_is_k3(ci: CompleteIntersection) -> bool:
     return True
 
 
-_CI_RE = re.compile(r"^\s*((?:P\d+)(?:x(?:P\d+))*)\s*:\s*(.+?)\s*$")
-_DEG_RE = re.compile(r"\(([0-9,\s]+)\)(?:\^(\d+))?")
+_CI_RE = re.compile(r"^\s*((?:P[0-9]+)(?:x(?:P[0-9]+))*)\s*:\s*(.+?)\s*$", re.ASCII)
+_DEG_RE = re.compile(r"\(([0-9,\s]+)\)(?:\^([0-9]+))?", re.ASCII)
 
 
 def parse_ci(text: str) -> CompleteIntersection:

@@ -3,8 +3,16 @@
 Subcommands: disc, glues, overlattice, ample, evenset, hyperelliptic, chow,
 table1, correspond, verify-paper.  Exit status 0 on success and verified
 outcomes, 1 on a verification mismatch, 2 on usage errors (including
-malformed families, divisors outside their lattice and inadmissible glue).
-All reports are deterministic byte-for-byte for fixed inputs.
+malformed families, divisors outside their lattice and inadmissible glue),
+141 (128 + SIGPIPE) when the reader closes stdout before the report is
+written.  All reports are deterministic byte-for-byte for fixed inputs.
+
+JSON reports are rendered by `_json_text`, which writes the bytes of
+`json.dumps(value, indent=2, sort_keys=True)` for the types reports hold;
+CPython's C encoder serves only `indent=None`, and the pure-Python one it
+falls back to costs more than most warm queries.  An `overlattice` query
+builds its lattice once per process per (family, support), as `make` does
+per label, so a repeated query reuses the lattice and its discriminant group.
 
 A cold call loads only its own subcommand's modules: `exactlin`, `lattice`,
 `disc` and `families` come with the package, and each subcommand imports
@@ -16,13 +24,17 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import os
+import re
 import sys
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 from .disc import disc_report_json, discriminant_group
 from .families import (
     KIND_L,
     GlueVector,
+    NSFamily,
     admissible_glues,
     canonical_octet,
     glue_indices,
@@ -31,14 +43,71 @@ from .families import (
     parse_divisor,
     parse_family,
 )
-from .lattice import lattice_to_json, vector_to_json
+from .lattice import IntegerLattice, lattice_to_json, vector_to_json
 
 SCHEMA = "k3evenset/1"
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
+
+_SUPPORT_RE = re.compile(r"[1-8](?:,[1-8])*")
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for the types reports hold:
+    dicts with str keys, lists, tuples, str, int, bool, None and finite floats.
+
+    Raises TypeError on any other type or key, and ValueError on a float that
+    is not finite.
+    """
+    out: list[str] = []
+    _write_json(value, out, "\n")
+    return "".join(out)
+
+
+def _write_json(value, out: list, newline: str) -> None:
+    """Append the pieces of value to out; newline is "\n" plus the current indent."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):  # a key that is not a str raises TypeError here or below
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(value[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is bool or value is None:
+        out.append(_LITERALS[value])
+    elif kind is float:
+        if not isfinite(value):
+            raise ValueError(f"float {value!r} is not JSON compliant")
+        out.append(float.__repr__(value))
+    else:
+        raise TypeError(f"a report cannot hold {kind.__name__} {value!r}")
 
 
 def _emit(data: dict, fmt: str, text_renderer) -> None:
     if fmt == "json":
-        print(json.dumps({"schema": SCHEMA, **data}, indent=2, sort_keys=True))
+        print(_json_text({"schema": SCHEMA, **data}))
     else:
         text_renderer(data)
 
@@ -84,23 +153,17 @@ def _cmd_overlattice(args) -> int:
         raise ValueError(f"overlattice extends an L family, not {family.label()}")
     if args.support is None:
         support = frozenset(glue_indices(family))
+    elif not _SUPPORT_RE.fullmatch(args.support):
+        raise ValueError(f"support must be comma-separated indices in 1..8, got {args.support!r}")
     else:
-        try:
-            indices = [int(x) for x in args.support.split(",")]
-        except ValueError:
-            raise ValueError(
-                f"support must be comma-separated indices in 1..8, got {args.support!r}"
-            ) from None
+        indices = [int(x) for x in args.support.split(",")]
         for i, index in enumerate(indices):
             if index in indices[:i]:
                 raise ValueError(f"support repeats index {index}, got {args.support!r}")
         support = frozenset(indices)
-    glue_vector = GlueVector(support)
     if len(support) == 8:
         raise ValueError("support 1..8 gives v = 2*Nhat, and v/2 already lies in N")
-    base = make(family)
-    glue = glue_vector.glue_class(base.root())
-    over = overlattice(base, glue)
+    over = _glued_overlattice(family, support)
     group = discriminant_group(over)
     data = {
         "family": args.family,
@@ -117,6 +180,14 @@ def _cmd_overlattice(args) -> int:
 
     _emit(data, args.format, text)
     return 0
+
+
+@functools.cache
+def _glued_overlattice(family: NSFamily, support: frozenset[int]) -> IntegerLattice:
+    """make(family) extended by the glue class over support, built once per
+    process; refused input raises on every call and is not kept."""
+    base = make(family)
+    return overlattice(base, GlueVector(support).glue_class(base.root()))
 
 
 def _cmd_ample(args) -> int:
@@ -319,10 +390,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit; let that write go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

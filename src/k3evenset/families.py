@@ -147,7 +147,10 @@ KIND_M = "M"
 KIND_MPRIME = "M'"
 KINDS = (KIND_L, KIND_LPRIME, KIND_M, KIND_MPRIME)
 
-_FAMILY_RE = re.compile(r"^(L'|L|M'|M):(2d'?)=(\d+)$")
+_FAMILY_RE = re.compile(r"^(L'|L|M'|M):(2d'?)=([0-9]+)$")
+# string.whitespace; str.strip() with no argument also strips Unicode spaces,
+# which would let a non-ASCII label or divisor through
+_ASCII_SPACES = " \t\n\r\x0b\x0c"
 
 
 class _Side(NamedTuple):
@@ -253,7 +256,7 @@ def parse_family(text: str) -> NSFamily:
 
 def parse_family_syntax(text: str) -> tuple[str, int]:
     """(kind, parameter) of a family label, before the parity rule."""
-    m = _FAMILY_RE.match(text.strip())
+    m = _FAMILY_RE.match(text.strip(_ASCII_SPACES))
     if not m:
         raise ValueError(
             f"malformed family {text!r}; expected e.g. L:2d=8, L':2d=8, M:2d'=4, M':2d'=8"
@@ -546,7 +549,7 @@ def _permute_n_columns(lat: IntegerLattice, sigma: dict[int, int]) -> IntegerLat
 
 # --- divisor expressions ------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*([+-]?)\s*(\d*)\s*\*?\s*(L1|L2|Nhat|L|N[1-8]|M|e[1-8])")
+_TOKEN_RE = re.compile(r"\s*([+-]?)\s*([0-9]*)\s*\*?\s*(L1|L2|Nhat|L|N[1-8]|M|e[1-8])", re.ASCII)
 
 
 def parse_divisor(ns: IntegerLattice, text: str) -> FrameVector:
@@ -557,7 +560,7 @@ def parse_divisor(ns: IntegerLattice, text: str) -> FrameVector:
     are only defined on the L' families.  The result is not required to lie
     in ns; membership is the caller's concern.
     """
-    raw = text.strip().replace(" ", "")
+    raw = text.strip(_ASCII_SPACES).replace(" ", "")
     halve = False
     if raw.endswith("/2"):
         halve = True

@@ -265,13 +265,15 @@ def is_even_set(ns: IntegerLattice, octet: Sequence[FrameVector]) -> bool:
     for i, c in enumerate(octet):
         if not contains(ns, c):
             raise ValueError(f"class #{i + 1} is not a lattice point of {ns.name}")
-        if inner(c, c) != -2:
-            raise ValueError(f"class #{i + 1} has square {inner(c, c)}, not -2")
+        n, den = inner_scaled(c, c)
+        if n != -2 * den:
+            raise ValueError(f"class #{i + 1} has square {Fraction(n, den)}, not -2")
     for i in range(8):
         for j in range(i + 1, 8):
-            if inner(octet[i], octet[j]) != 0:
+            n, den = inner_scaled(octet[i], octet[j])
+            if n:
                 raise ValueError(
-                    f"classes #{i + 1} and #{j + 1} meet: product {inner(octet[i], octet[j])}"
+                    f"classes #{i + 1} and #{j + 1} meet: product {Fraction(n, den)}"
                 )
     total = octet[0]
     for c in octet[1:]:

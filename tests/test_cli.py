@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import k3evenset
-from k3evenset.cli import build_parser, main
+from k3evenset.cli import _glued_overlattice, _json_text, build_parser, main
 from k3evenset.families import admissible_glues
 from k3evenset.models import _model_descriptor
 
@@ -260,6 +261,106 @@ def test_second_call_answers_from_the_memo_byte_identically(capsys, fmt, argv):
 def test_refused_input_exits_2_on_every_repeat(capsys, argv, message):
     for _ in range(3):
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+OVERLATTICE_16 = ["overlattice", "L:2d=16", "--support"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_repeated_overlattice_query_answers_from_the_memo(capsys, fmt):
+    _glued_overlattice.cache_clear()
+    first = run_cli(capsys, "--format", fmt, *OVERLATTICE_16, "1,6,7,8")
+    assert first[0] == 0
+    assert _glued_overlattice.cache_info()[:2] == (0, 1)  # (hits, misses)
+    assert run_cli(capsys, "--format", fmt, *OVERLATTICE_16, "1,6,7,8") == first
+    assert _glued_overlattice.cache_info()[:2] == (1, 1)
+    # the key is the support as a set, so the input order does not matter
+    assert run_cli(capsys, "--format", fmt, *OVERLATTICE_16, "8,7,6,1") == first
+    assert _glued_overlattice.cache_info()[:2] == (2, 1)
+    assert _glued_overlattice.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*OVERLATTICE_16, "1,1,2,2"], "support repeats index 1, got '1,1,2,2'"),
+        (
+            [*OVERLATTICE_16, "1,2,3,4,5,6,7,8"],
+            "support 1..8 gives v = 2*Nhat, and v/2 already lies in N",
+        ),
+        ([*OVERLATTICE_16, "1,2,3"], "support size must be even"),
+        ([*OVERLATTICE_16, "1,2"], "evenness failure: adjoined square 3 is not in 2Z"),
+        (["overlattice", "L':2d=8"], "overlattice extends an L family, not L':2d=8"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+)
+def test_refused_overlattice_raises_on_every_call_and_is_not_kept(capsys, argv, message):
+    _glued_overlattice.cache_clear()
+    for _ in range(3):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert _glued_overlattice.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("support", ["1,+2,3,4", "01,2,3,4", "1, 2,3,4", "0,1,2,3", "1,2,3,\u0664"])
+def test_overlattice_support_tokens_are_ascii_indices(capsys, support):
+    code, out, err = run_cli(capsys, "overlattice", "L:2d=16", "--support", support)
+    assert (code, out) == (2, "")
+    assert err == f"error: support must be comma-separated indices in 1..8, got {support!r}\n"
+
+
+EXPECTED_FAMILIES = "; expected e.g. L:2d=8, L':2d=8, M:2d'=4, M':2d'=8"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["disc", "L:2d=\u0666"], "malformed family 'L:2d=\u0666'" + EXPECTED_FAMILIES),
+        (["disc", "\u3000L:2d=6"], "malformed family '\\u3000L:2d=6'" + EXPECTED_FAMILIES),
+        (["ample", "L:2d=8", "--divisor", "\u0662L-Nhat"], "cannot parse divisor '\u0662L-Nhat' at position 0"),
+        (["chow", "P\u0663: (4)"], "cannot parse complete intersection 'P\u0663: (4)'"),
+        (["chow", "P3: (4)^\u0661"], "expected '+' at position 3 in 'P3: (4)^\u0661'"),
+    ],
+    ids=["family digit", "family space", "divisor", "ci dimension", "ci repetition"],
+)
+def test_non_ascii_digits_and_spaces_exit_2(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, Fraction(1, 2), {1: "a"}, {"a": 1, 2: "b"}, [b"x"]], ids=repr)
+def test_json_text_refuses_other_types(bad):
+    with pytest.raises(TypeError):
+        _json_text({"value": bad})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_json_text_refuses_non_finite_floats(bad):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _json_text([bad])
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    # a report larger than the stdout buffer fails inside its print; a small
+    # one fails when main flushes it
+    "argv", [["--format", "json", "table1"], ["correspond", "L:2d=6"]], ids=" ".join
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv, unbuffered):
+    # the read end is closed before the child starts, so its first write fails
+    env = {k: v for k, v in FRESH_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "k3evenset.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=30, env=env,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -27,7 +27,7 @@ from k3evenset.families import (
     validate_glue,
 )
 from k3evenset.lattice import contains, inner, is_primitive, lattice_to_json, same_lattice
-from k3evenset.positivity import classify_positivity
+from k3evenset.positivity import classify_positivity, is_even_set
 
 
 def test_parse_family_grammar():
@@ -346,6 +346,17 @@ def test_classify_positivity_builds_only_its_search_bound(monkeypatch, text, sta
     report, calls = _count_fractions(monkeypatch, lambda: classify_positivity(ns, divisor))
     assert report.status == status
     assert len(calls) == 1 and Fraction(*calls[0]) == report.search_bound
+
+
+@pytest.mark.parametrize("label", ["L:2d=6", "L':2d=12"])
+def test_is_even_set_builds_no_fraction(monkeypatch, label):
+    # the squares and pairwise products are compared as scaled integers; a
+    # Fraction appears only in a refusal message
+    ns = make(label)
+    octet = canonical_octet(ns)
+    result, calls = _count_fractions(monkeypatch, lambda: is_even_set(ns, octet))
+    assert result is True
+    assert calls == []
 
 
 def test_parse_divisor_builds_no_fraction(monkeypatch):

@@ -128,6 +128,75 @@ def test_overlattice_support_fuzz(text, support):
     assert_result_or_usage_error(code, err)
 
 
+# Unicode digits that int() reads (Arabic-Indic, fullwidth, mathematical
+# bold) and Unicode spaces that str.strip() removes
+UNICODE_DIGITS = ["\u0661", "\u0662", "\u0663", "\u0664", "\u0666", "\uff18", "\U0001d7d0"]
+UNICODE = UNICODE_DIGITS + ["\xa0", "\u2003", "\u3000"]
+mixed_digits = st.text(st.sampled_from(list("0123468") + UNICODE), min_size=1, max_size=3)
+mixed_spaces = st.text(st.sampled_from([" ", "\t"] + UNICODE[-3:]), max_size=2)
+mixed_labels = st.builds(
+    lambda pre, kind, n, post: f"{pre}{kind}={n}{post}",
+    mixed_spaces, st.sampled_from(["L:2d", "L':2d", "M:2d'", "M':2d'"]), mixed_digits, mixed_spaces,
+)
+mixed_divisors = st.lists(
+    st.sampled_from(["L", "Nhat", "N1", "N2", "L1", "-", "+", "2", "/2", "(", ")", " "] + UNICODE),
+    min_size=1, max_size=8,
+).map("".join)
+# one multidegree makes a surface only in P3, so the dimension is 3 or a
+# spelling of it, and the repetition count is 1 or a spelling of it
+mixed_cis = st.builds(
+    lambda pre, dim, deg, rep: f"{pre}P{dim}: ({deg}){rep}",
+    mixed_spaces,
+    st.sampled_from(["3", "03", "\u0663"]),
+    mixed_digits,
+    st.sampled_from(["", "^1", "^01", "^\u0661", "^\uff11"]),
+)
+# four indices, the admissible support size for L:2d=16
+mixed_supports = st.lists(
+    st.sampled_from(["1", "2", "3", "4", "6", "7", "8", "01", "+2", " 3"] + UNICODE_DIGITS),
+    min_size=4, max_size=4,
+).map(",".join)
+
+
+@FUZZ
+@given(mixed_labels)
+def test_accepted_family_label_is_ascii(text):
+    try:
+        parse_family(text)
+    except ValueError:
+        return
+    assert text.isascii()
+
+
+@FUZZ
+@given(st.sampled_from(["L:2d=6", "L':2d=12"]), mixed_divisors)
+def test_accepted_divisor_is_ascii(label, text):
+    try:
+        parse_divisor(make(label), text)
+    except ValueError:
+        return
+    assert text.isascii()
+
+
+@FUZZ
+@given(mixed_cis)
+def test_accepted_ci_is_ascii(text):
+    try:
+        parse_ci(text)
+    except ValueError:
+        return
+    assert text.isascii()
+
+
+@FUZZ
+@given(mixed_supports)
+def test_accepted_support_is_ascii(support):
+    code, _, err = run_cli(["overlattice", "L:2d=16", "--support", support])
+    assert_result_or_usage_error(code, err)
+    if code == 0:
+        assert support.isascii()
+
+
 def test_jobs_flag_is_gone():
     code, _, err = run_cli(["--jobs", "2", "glues", "4"])
     assert code == 2

@@ -218,6 +218,17 @@ def test_even_set_rejects_bad_octets():
         is_even_set(ns, overlapping)
 
 
+def test_even_set_refusal_messages():
+    ns = make("L':2d=8")
+    octet = canonical_octet(ns)
+    with pytest.raises(ValueError) as square:
+        is_even_set(ns, octet[:3] + [ns.root().basis_vector(0)] + octet[4:])
+    assert str(square.value) == "class #4 has square 8, not -2"
+    with pytest.raises(ValueError) as meet:
+        is_even_set(ns, octet[:5] + [-octet[1]] + octet[6:])
+    assert str(meet.value) == "classes #2 and #6 meet: product 2"
+
+
 def test_even_set_unsatisfiable_in_m_even_dprime():
     # E8(-2) has no (-2)-vectors and the parity of 2d'a^2+2 rules out the rest
     assert short_vectors(make("E8(-2)"), 2) == []

@@ -15,11 +15,14 @@ built here from `bench/` (which this script only imports):
 * `table1`, `glues 1` ... `glues 60`, and `disc` of L, L', M and M' with the
   label parameter 2, 4, ..., 40;
 * each of the above with `--format json` and with `--format text`;
-* `verify-paper --format json`, compared without its `elapsed_s` fields.
+* `verify-paper --format json`, compared without its `elapsed_s` fields;
+* each `overlattice --support` record again, with its indices reversed,
+  whose answers must equal those of the record it reverses.
 
 Prints the first (argv, stream) whose second answer differs from the first
-in one tree, or that differs between the trees, and exits 1; or prints
-`identical: N records, each answered twice` and exits 0.
+in one tree, whose reversed support changes the answer, or that differs
+between the trees, and exits 1; or prints `identical: N records, each
+answered twice` and exits 0.
 """
 
 from __future__ import annotations
@@ -55,6 +58,19 @@ def records() -> list[list[str]]:
     argvs += [["disc", family_label(k, p)] for k in ("L", "L'", "M", "M'") for p in range(1, 21)]
     out = [["--format", fmt, *argv] for fmt in ("json", "text") for argv in argvs]
     return out + [VERIFY_PAPER]
+
+
+def reversed_supports(argvs: list) -> list[tuple[int, list[str]]]:
+    """(i, twin) for each record i with a --support of several indices: twin
+    is the same query with the indices in reverse order."""
+    twins = []
+    for i, argv in enumerate(argvs):
+        if "--support" in argv:
+            at = argv.index("--support") + 1
+            indices = argv[at].split(",")
+            if len(indices) > 1:
+                twins.append((i, [*argv[:at], ",".join(reversed(indices)), *argv[at + 1:]]))
+    return twins
 
 
 def _drop_elapsed(data):
@@ -124,11 +140,21 @@ def main(argv: list[str]) -> int:
             print(f"{src}: no k3evenset package here", file=sys.stderr)
             return 2
     argvs = records()
+    twins = reversed_supports(argvs)
+    start = len(argvs)
+    argvs += [twin for _, twin in twins]
     old, new = (run_tree(src, argvs) for src in srcs)
     diffs = [
         first_difference(argvs, *passes, f"{src}: the second answer differs", ("first", "second"))
         for src, passes in zip(srcs, (old, new))
     ]
+    for src, passes in zip(srcs, (old, new)):
+        for answers in passes:
+            given = [answers[i] for i, _ in twins]
+            diffs.append(first_difference(
+                argvs[start:], given, answers[start:], f"{src}: the reversed support differs",
+                ("given", "reversed"),
+            ))
     diffs.append(first_difference(argvs, old[0], new[0], "differs"))
     for diff in diffs:
         if diff is not None:
