@@ -155,8 +155,8 @@ def oracle_obstructing_roots(ns, divisor, strict: bool, a_cap: Fraction) -> list
     """
     root = ns.root()
     d = root.gram[0, 0] // 2
-    a_den = lcm(*(v.root_coords()[0].denominator for v in ns.basis_vectors()))
-    rc = divisor.root_coords()
+    a_den = lcm(*(_root_fractions(v)[0].denominator for v in ns.basis_vectors()))
+    rc = _root_fractions(divisor)
     p, qs = rc[0], rc[1:]
     q2 = [int(2 * q) for q in qs]
     maxq2 = max((abs(q) for q in q2), default=0)
@@ -196,16 +196,22 @@ def oracle_obstructing_roots(ns, divisor, strict: bool, a_cap: Fraction) -> list
             beta[i] = 0
 
         rec(0, target, base)
-    found.sort(key=lambda c: c.root_coords())
+    found.sort(key=_root_fractions)
     return found
+
+
+def _root_fractions(v) -> tuple[Fraction, ...]:
+    """The root-frame coordinates of a vector, as Fractions."""
+    ints, den = v.root_scaled()
+    return tuple(Fraction(n, den) for n in ints)
 
 
 def _cross_validate(ns, divisor, failures, label):
     report = classify_positivity(ns, divisor)
     fast = enumerate_obstructing_roots(ns, divisor)
-    a_cap = 3 * max(report.search_bound, Fraction(1))
+    a_cap = 3 * max(Fraction(*report.search_bound), Fraction(1))
     slow = oracle_obstructing_roots(ns, divisor, report.self_intersection == 0, a_cap)
-    if [c.root_coords() for c in fast] != [c.root_coords() for c in slow]:
+    if list(map(_root_fractions, fast)) != list(map(_root_fractions, slow)):
         failures.append(f"{label}: oracle disagrees with bounded search")
     return report
 

@@ -105,6 +105,13 @@ def _write_json(value, out: list, newline: str) -> None:
         raise TypeError(f"a report cannot hold {kind.__name__} {value!r}")
 
 
+def _ascii_int(text: str) -> int:
+    """int() of ASCII digits only, which refuses Unicode digits, signs and spaces."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _emit(data: dict, fmt: str, text_renderer) -> None:
     if fmt == "json":
         print(_json_text({"schema": SCHEMA, **data}))
@@ -346,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_disc)
 
     p = sub.add_parser("glues", help="admissible glue vectors for a given d")
-    p.add_argument("d", type=int)
+    p.add_argument("d", type=_ascii_int)
     p.set_defaults(func=_cmd_glues)
 
     p = sub.add_parser("overlattice", help="index-two extension by a glue class")
@@ -381,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_correspond)
 
     p = sub.add_parser("verify-paper", help="run the complete acceptance suite")
-    p.add_argument("--dmax", type=int, default=12)
+    p.add_argument("--dmax", type=_ascii_int, default=12)
     p.set_defaults(func=_cmd_verify_paper)
     return parser
 

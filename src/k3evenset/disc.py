@@ -5,18 +5,17 @@ A_L is the direct sum of Z/d_i over the nontrivial invariant factors, and a
 generator of the Z/d_i summand lifts to the rational vector G^-1 * (column i
 of U^-1) = V * D^-1 * e_i, i.e. column i of V divided by d_i, expressed in
 the lattice's own basis.  No matrix is inverted.  Each lift is built as
-integer numerators over d_i; Fraction appears only in the value of
-`discriminant_form`, through `inner`.
+integer numerators over d_i; the form reads the pairing `inner_scaled`,
+since a dual vector's square need not be an integer as `inner` requires.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
 from .exactlin import smith_normal_form
-from .lattice import FrameVector, IntegerLattice, inner, vector_to_json
+from .lattice import FrameVector, IntegerLattice, inner_scaled, vector_to_json
 
 
 class DiscriminantGroup(NamedTuple):
@@ -52,17 +51,20 @@ def _smith_group(lat: IntegerLattice) -> DiscriminantGroup:
     return DiscriminantGroup(tuple(factors), tuple(lifts), order)
 
 
-def discriminant_form(lat: IntegerLattice, x: FrameVector) -> Fraction:
-    """Value of the discriminant quadratic form x.x mod 2Z, reduced into [0, 2).
+def discriminant_form(lat: IntegerLattice, x: FrameVector) -> tuple[int, int]:
+    """Value (n, den) of the discriminant quadratic form x.x mod 2Z: in
+    lowest terms, with 0 <= n/den < 2.
 
     The vector must lie in the dual lattice: its pairing with every basis
     vector of lat has to be integral.
     """
-    for i in range(lat.rank):
-        p = inner(x, lat.basis_vector(i))
-        if p.denominator != 1:
+    for b in lat.basis_vectors():
+        p, den = inner_scaled(x, b)
+        if p % den:
             raise ValueError(f"{x!r} is not in the dual lattice of {lat.name}")
-    return inner(x, x) % 2
+    n, den = inner_scaled(x, x)
+    g = gcd(n, den)
+    return n // g % (2 * den // g), den // g
 
 
 def group_from_factors(factors: tuple[int, ...]) -> tuple[int, ...]:

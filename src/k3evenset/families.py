@@ -26,7 +26,6 @@ classification lemma and the correspondence partner.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import prod
@@ -39,6 +38,7 @@ from .lattice import (
     FrameVector,
     IntegerLattice,
     coords_in,
+    ratio_text,
     same_lattice,
 )
 
@@ -289,6 +289,7 @@ def nikulin_sublattice(ns: IntegerLattice) -> IntegerLattice:
     return IntegerLattice.framed("N", ns.root(), _SIDES["L"].body, _N_NAMES, s=2)
 
 
+@cache
 def _family_lattice(family: NSFamily) -> IntegerLattice:
     """The family's basis over its split frame: X or the glue class, then B's rows."""
     side = _SIDES[family.side]
@@ -303,16 +304,14 @@ def _family_lattice(family: NSFamily) -> IntegerLattice:
     )
 
 
-_NAMED = {
-    "U": lambda: hyperbolic_plane(),
-    "U(2)": lambda: hyperbolic_plane(2),
-    "E8(-1)": lambda: e8_lattice(-1),
-    "E8(-2)": lambda: e8_lattice(-2),
-    "N": nikulin_lattice,
-    "K3": k3_lattice,
+_NAMED = {  # each built once, on first use
+    "U": cache(lambda: hyperbolic_plane()),
+    "U(2)": cache(lambda: hyperbolic_plane(2)),
+    "E8(-1)": cache(lambda: e8_lattice(-1)),
+    "E8(-2)": cache(lambda: e8_lattice(-2)),
+    "N": cache(nikulin_lattice),
+    "K3": cache(k3_lattice),
 }
-
-_MAKE_CACHE: dict[str, IntegerLattice] = {}
 
 
 def make(which: Union[str, NSFamily]) -> IntegerLattice:
@@ -320,19 +319,12 @@ def make(which: Union[str, NSFamily]) -> IntegerLattice:
 
     Lattices are immutable, so results are memoized; repeated calls share
     one object (and hence one root frame) per lattice: every spelling of a
-    family (L:2d=04, L:2d=4) maps to the object of its canonical label.
+    family (L:2d=04, L:2d=4) is parsed to one NSFamily, the cache key.
     """
-    key = which.label() if isinstance(which, NSFamily) else which
-    lat = _MAKE_CACHE.get(key)
-    if lat is None:
-        if key in _NAMED:
-            lat = _NAMED[key]()
-        else:
-            family = parse_family(key)
-            lat = _MAKE_CACHE.get(family.label()) or _family_lattice(family)
-            _MAKE_CACHE[family.label()] = lat
-        _MAKE_CACHE[key] = lat
-    return lat
+    if isinstance(which, NSFamily):
+        return _family_lattice(which)
+    named = _NAMED.get(which)
+    return named() if named else _family_lattice(parse_family(which))
 
 
 # --- glue vectors and overlattices ------------------------------------------
@@ -392,10 +384,10 @@ def validate_glue(base: IntegerLattice, glue: FrameVector) -> tuple[int, ...]:
     for name, p in zip(base.basis_names, pairings):
         if p % den:
             raise ValueError(
-                f"integrality failure: glue pairs non-integrally ({Fraction(p, den)}) with {name}"
+                f"integrality failure: glue pairs non-integrally ({ratio_text(p, den)}) with {name}"
             )
     if sq % (2 * sq_den):
-        raise ValueError(f"evenness failure: adjoined square {Fraction(sq, sq_den)} is not in 2Z")
+        raise ValueError(f"evenness failure: adjoined square {ratio_text(sq, sq_den)} is not in 2Z")
     return doubled
 
 

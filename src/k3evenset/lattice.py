@@ -14,14 +14,13 @@ own frame, so no Smith form is taken; `is_primitive` reads a Hermite form
 too.  `short_vectors` enumerates on the integer symmetric elimination of
 `exactlin`.  A pairing is one integer dot product of the second vector with
 the row G x of the first, cached on it (`gram_row`); `inner_scaled` returns
-it over its denominator.  Fraction appears only in `vector()` input, in the
-value `inner` returns and in the display and comparison accessors `coords()`
-and `root_coords()`.
+it over its denominator, and `inner` is the integer intersection number of
+two lattice points.  Rationals are integer pairs (n, den) throughout;
+`ratio_text` prints one.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import gcd, isqrt, lcm, prod
@@ -190,13 +189,10 @@ class IntegerLattice:
         return [sum(map(mul, row, xi)) for row in p], t
 
     def vector(self, coords: Iterable) -> "FrameVector":
-        """Vector with the given rational coordinates in this lattice's basis."""
-        coords = list(coords)
-        if all(isinstance(x, int) for x in coords):
-            return FrameVector(self, coords, 1)
-        fracs = [Fraction(x) for x in coords]
-        den = lcm(*(f.denominator for f in fracs))
-        return FrameVector(self, [f.numerator * (den // f.denominator) for f in fracs], den)
+        """Vector with the given exact rational coordinates in this lattice's basis."""
+        ratios = [_ratio(x) for x in coords]
+        den = lcm(*(d for _, d in ratios))
+        return FrameVector(self, [n * (den // d) for n, d in ratios], den)
 
     def basis_vector(self, i: int) -> "FrameVector":
         return self.basis_vectors()[i]
@@ -236,10 +232,6 @@ class FrameVector:
         self._root_scaled_cache = None
         self._gram_row_cache = None
 
-    def coords(self) -> tuple[Fraction, ...]:
-        d = self.denominator
-        return tuple(Fraction(n, d) for n in self.numerators)
-
     def root_scaled(self) -> tuple[tuple[int, ...], int]:
         """(integer root coordinates times den, den); not reduced."""
         if self._root_scaled_cache is None:
@@ -261,10 +253,6 @@ class FrameVector:
             xi = self.root_scaled()[0]
             self._gram_row_cache = tuple(sum(map(mul, row, xi)) for row in self.root().gram.entries)
         return self._gram_row_cache
-
-    def root_coords(self) -> tuple[Fraction, ...]:
-        ints, den = self.root_scaled()
-        return tuple(Fraction(n, den) for n in ints)
 
     def root(self) -> IntegerLattice:
         return self.lattice.root()
@@ -297,22 +285,29 @@ class FrameVector:
             return NotImplemented
         if not frames_compatible(self.lattice, other.lattice):
             return False
-        return self.root_coords() == other.root_coords()
+        return self._root_key() == other._root_key()
 
     def __hash__(self):
-        return hash(self.root_coords())
+        return hash(self._root_key())
+
+    def _root_key(self) -> tuple[tuple[int, ...], int]:
+        """The root coordinates as reduced integer numerators over their denominator."""
+        ints, den = self.root_scaled()
+        g = gcd(den, *ints)
+        return tuple(x // g for x in ints), den // g
 
     def __repr__(self):
+        d = self.denominator
         terms = []
-        for name, c in zip(self.lattice.basis_names, self.coords()):
-            if c == 0:
+        for name, n in zip(self.lattice.basis_names, self.numerators):
+            if n == 0:
                 continue
-            if c == 1:
+            if n == d:
                 terms.append(f"+{name}")
-            elif c == -1:
+            elif n == -d:
                 terms.append(f"-{name}")
             else:
-                terms.append(f"{'+' if c > 0 else '-'}{abs(c)}*{name}")
+                terms.append(f"{'+' if n > 0 else '-'}{ratio_text(abs(n), d)}*{name}")
         body = "".join(terms).lstrip("+") or "0"
         return f"<{body} in {self.lattice.name}>"
 
@@ -333,11 +328,19 @@ def _combine(x: FrameVector, y: FrameVector, sign: int) -> FrameVector:
 
 
 def _ratio(scalar) -> tuple[int, int]:
-    """(numerator, denominator) of an exact scalar; integers stay integers."""
+    """(numerator, denominator) of an int or a rational with int parts; a float raises."""
     if isinstance(scalar, int):
         return scalar, 1
-    f = Fraction(scalar)
-    return f.numerator, f.denominator
+    try:
+        return index(scalar.numerator), index(scalar.denominator)
+    except (AttributeError, TypeError):
+        raise TypeError(f"{scalar!r} is not an exact rational") from None
+
+
+def ratio_text(n: int, den: int) -> str:
+    """n/den as str(fractions.Fraction(n, den)) prints it; den must be positive."""
+    g = gcd(n, den)
+    return str(n // g) if den == g else f"{n // g}/{den // g}"
 
 
 @cache
@@ -384,9 +387,13 @@ def inner_scaled(x: FrameVector, y: FrameVector) -> tuple[int, int]:
     return sum(map(mul, x.gram_row(), yi)), x.root_scaled()[1] * dy
 
 
-def inner(x: FrameVector, y: FrameVector) -> Fraction:
-    """Exact value of the bilinear form on two vectors sharing a frame."""
-    return Fraction(*inner_scaled(x, y))
+def inner(x: FrameVector, y: FrameVector) -> int:
+    """The intersection number x . y of two points of one integral lattice;
+    raises ValueError when the pairing is not an integer."""
+    n, den = inner_scaled(x, y)
+    if n % den:
+        raise ValueError(f"{x!r} . {y!r} = {ratio_text(n, den)} is not an integer")
+    return n // den
 
 
 def coords_in(lat: IntegerLattice, x: FrameVector, k: int = 1) -> Optional[tuple[int, ...]]:

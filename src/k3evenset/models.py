@@ -47,14 +47,6 @@ class FiberConfiguration(NamedTuple):
     i1: int
     i2: int
 
-    def euler_sum(self) -> int:
-        return self.i1 + 2 * self.i2
-
-
-def fibration_euler_check(config: FiberConfiguration) -> bool:
-    """A K3 elliptic fibration's singular fibers add up to Euler number 24."""
-    return config.euler_sum() == 24
-
 
 class ProjectiveModelDescriptor(NamedTuple):
     """Immutable throughout (tuples, not lists), so one descriptor can be shared."""
@@ -102,9 +94,8 @@ def _json_copy(value):
 _IMAGE_NAMES = {0: "node", 1: "line", 2: "conic"}
 
 
-def _image_type(value) -> str:
-    v = int(value)
-    return _IMAGE_NAMES.get(v, str(v))
+def _image_type(value: int) -> str:
+    return _IMAGE_NAMES.get(value, str(value))
 
 
 def _single_images(ns: IntegerLattice, divisor: FrameVector) -> tuple:
@@ -165,8 +156,6 @@ def _model_descriptor(family: NSFamily, polarization: str) -> ProjectiveModelDes
     if d2 == 0:
         contracted = sum(1 for n in canonical_octet(ns) if inner(divisor, n) == 0)
         fibers = FiberConfiguration(i1=24 - 2 * contracted, i2=contracted)
-        if not fibration_euler_check(fibers):
-            raise RuntimeError("fiber configuration fails the Euler count")
         return ProjectiveModelDescriptor(
             family=family,
             polarization=polarization,
@@ -234,7 +223,7 @@ def polarization_pair_gram(family: NSFamily | str, first: str, second: str) -> I
 
 def _pair_gram(a: FrameVector, b: FrameVector) -> tuple[tuple[int, ...], ...]:
     """The 2x2 Gram matrix of two divisors, as integers."""
-    return tuple(tuple(int(inner(u, v)) for v in (a, b)) for u in (a, b))
+    return tuple(tuple(inner(u, v) for v in (a, b)) for u in (a, b))
 
 
 # --- the model table ---------------------------------------------------------

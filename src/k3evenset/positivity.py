@@ -31,7 +31,6 @@ are refused.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -42,7 +41,6 @@ from .lattice import (
     contains,
     content,
     inner,
-    inner_scaled,
     vector_to_json,
 )
 from .families import canonical_octet, l_frame_d
@@ -63,7 +61,7 @@ class PositivityReport(NamedTuple):
     self_intersection: int
     status: str
     witness: Optional[FrameVector]
-    search_bound: Fraction
+    search_bound: tuple[int, int]  # a_max as a reduced (numerator, denominator)
     exhaustive: bool
     assumptions: tuple[str, ...]
 
@@ -74,7 +72,7 @@ class PositivityReport(NamedTuple):
             "d2": str(self.self_intersection),
             "status": self.status,
             "witness": vector_to_json(self.witness) if self.witness else None,
-            "a_max": f"{self.search_bound.numerator}/{self.search_bound.denominator}",
+            "a_max": "{}/{}".format(*self.search_bound),
             "exhaustive": self.exhaustive,
             "assumptions": list(self.assumptions),
         }
@@ -104,7 +102,7 @@ def _family_frame(ns: IntegerLattice) -> tuple[int, int]:
 def _twice_root_coords(v: FrameVector) -> tuple[int, ...]:
     """(2p, 2q_1, ..., 2q_8), integers, for a lattice point of a lattice
     _family_frame accepts; as a sort key it orders such points exactly as
-    root_coords() does."""
+    their rational root coordinates do."""
     ints, den = v.root_scaled()
     return tuple(2 * x // den for x in ints)
 
@@ -182,21 +180,20 @@ def _candidates(
             cand = FrameVector(root, key, 2)
             if contains(ns, cand):
                 found.append((key, cand, dc))
-    # every key is 2 * root_coords over the same denominator
+    # every key is twice the root coordinates
     found.sort(key=itemgetter(0))
     return k_max, [(cand, dc) for _, cand, dc in found]
 
 
 def _obstructing_roots(
     ns: IntegerLattice, divisor: FrameVector
-) -> tuple[int, Fraction, list[tuple[FrameVector, int]]]:
-    """(D^2, a_max, [(C, 2 D.C)]): the checks and search shared by
-    enumerate_obstructing_roots and classify_positivity."""
+) -> tuple[int, tuple[int, int], list[tuple[FrameVector, int]]]:
+    """(D^2, a_max as a reduced pair, [(C, 2 D.C)]): the checks and search
+    shared by enumerate_obstructing_roots and classify_positivity."""
     d, a_den = _family_frame(ns)
     if not contains(ns, divisor):
         raise ValueError(f"divisor {divisor!r} is not a lattice point of {ns.name}")
-    n, den = inner_scaled(divisor, divisor)
-    d2 = n // den  # exact: divisor is a point of the even lattice ns
+    d2 = inner(divisor, divisor)
     if d2 < 0:
         raise ValueError(f"divisor has negative self-intersection {d2}")
     p2, *q2 = _twice_root_coords(divisor)
@@ -205,7 +202,8 @@ def _obstructing_roots(
             "divisor must have positive L-coefficient and non-positive N-coefficients"
         )
     k_max, roots = _candidates(ns, d, p2, q2, a_den, 1, -1 if d2 == 0 else 0)
-    return d2, Fraction(k_max, a_den), roots
+    g = gcd(k_max, a_den)
+    return d2, (k_max // g, a_den // g), roots
 
 
 def enumerate_obstructing_roots(ns: IntegerLattice, divisor: FrameVector) -> list[FrameVector]:
@@ -224,7 +222,7 @@ def classify_positivity(ns: IntegerLattice, divisor: FrameVector) -> PositivityR
     d2, a_max, roots = _obstructing_roots(ns, divisor)
     obstructors = []
     for n_i in canonical_octet(ns):
-        v = inner_scaled(divisor, n_i)[0]  # the sign of D.N_i
+        v = inner(divisor, n_i)
         if v <= 0:
             obstructors.append((n_i, v))
     obstructors += roots
@@ -265,16 +263,14 @@ def is_even_set(ns: IntegerLattice, octet: Sequence[FrameVector]) -> bool:
     for i, c in enumerate(octet):
         if not contains(ns, c):
             raise ValueError(f"class #{i + 1} is not a lattice point of {ns.name}")
-        n, den = inner_scaled(c, c)
-        if n != -2 * den:
-            raise ValueError(f"class #{i + 1} has square {Fraction(n, den)}, not -2")
+        square = inner(c, c)
+        if square != -2:
+            raise ValueError(f"class #{i + 1} has square {square}, not -2")
     for i in range(8):
         for j in range(i + 1, 8):
-            n, den = inner_scaled(octet[i], octet[j])
-            if n:
-                raise ValueError(
-                    f"classes #{i + 1} and #{j + 1} meet: product {Fraction(n, den)}"
-                )
+            product = inner(octet[i], octet[j])
+            if product:
+                raise ValueError(f"classes #{i + 1} and #{j + 1} meet: product {product}")
     total = octet[0]
     for c in octet[1:]:
         total = total + c
@@ -425,6 +421,6 @@ def riemann_roch_h0(ns: IntegerLattice, divisor: FrameVector) -> tuple[int, str]
     if d2 == 0:
         k = content(ns, divisor)
         return k + 1, "free elliptic pencil assumption"
-    if d2.numerator % 2 != 0:
+    if d2 % 2 != 0:
         raise ValueError("odd self-intersection cannot occur in an even lattice")
-    return int(d2) // 2 + 2, "valid under nef+big with no fixed part"
+    return d2 // 2 + 2, "valid under nef+big with no fixed part"

@@ -371,10 +371,26 @@ def test_unknown_subcommand_exits_2(capsys):
 
 @pytest.mark.parametrize("dmax", ["0", "-3"])
 def test_verify_paper_rejects_empty_range(capsys, dmax):
-    code, out, err = run_cli(capsys, "verify-paper", "--dmax", dmax)
+    # 0 is refused by run_all, a sign by the argument's digit-only type
+    try:
+        code, out, err = run_cli(capsys, "verify-paper", "--dmax", dmax)
+    except SystemExit as exc:
+        code, (out, err) = exc.code, capsys.readouterr()
     assert code == 2
     assert out == ""
     assert "dmax" in err
+
+
+@pytest.mark.parametrize("text", ["\u0666", "\uff16", " 6 ", "6 ", "+6", "-6", "6.0", "x", ""])
+@pytest.mark.parametrize("argv", [["glues", "{}"], ["verify-paper", "--dmax", "{}"]])
+def test_integer_arguments_take_ascii_digits_only(capsys, argv, text):
+    # int() would read Unicode digits, a sign and surrounding spaces
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(text) for a in argv])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert err.startswith("usage:") and f"invalid int value: {text!r}" in err
 
 
 def test_main_builds_one_parser_and_matches_fresh_processes(monkeypatch, capsys):
@@ -411,12 +427,15 @@ def test_main_builds_one_parser_and_matches_fresh_processes(monkeypatch, capsys)
     assert [run_fresh(argv) for argv in calls] == warm
 
 
+WATCHED = ("dataclasses", "fractions", "decimal")
+
+
 def loaded_modules(code):
-    """The package modules, and dataclasses if loaded, after running code in a
-    new interpreter."""
+    """The package modules, and those of WATCHED that are loaded, after
+    running code in a new interpreter."""
     report = (
         "\nimport json, sys\n"
-        "print(json.dumps([m for m in sys.modules if m == 'dataclasses' or m.startswith('k3evenset')]))"
+        f"print(json.dumps([m for m in sys.modules if m in {WATCHED!r} or m.startswith('k3evenset')]))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code + report],
@@ -429,13 +448,20 @@ CORE = {"k3evenset", "k3evenset.exactlin", "k3evenset.lattice", "k3evenset.disc"
 
 
 def test_cli_import_loads_only_the_core_modules():
-    # subcommand modules load on first use, and no record pulls in dataclasses
+    # subcommand modules load on first use; no record pulls in dataclasses,
+    # and no exact number type but the int: neither fractions nor decimal
     assert loaded_modules("import k3evenset.cli") == CORE | {"k3evenset.cli"}
 
 
 @pytest.mark.parametrize(
     "argv, extra",
-    [(["disc", "L:2d=6"], set()), (["chow", "P3: (4)"], {"k3evenset.chow"})],
+    [
+        (["disc", "L:2d=6"], set()),
+        (["chow", "P3: (4)"], {"k3evenset.chow"}),
+        (["ample", "L:2d=6", "--divisor", "L-Nhat"], {"k3evenset.positivity"}),
+        (["hyperelliptic", "L':2d=8", "--divisor", "L1+L2"], {"k3evenset.positivity"}),
+        (["table1", "L:2d=4"], {"k3evenset.positivity", "k3evenset.models", "k3evenset.data"}),
+    ],
 )
 def test_cold_call_loads_only_its_subcommand_modules(argv, extra):
     loaded = loaded_modules(f"from k3evenset.cli import main\nmain({argv!r})")

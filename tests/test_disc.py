@@ -10,7 +10,7 @@ from k3evenset.disc import (
 )
 from k3evenset.exactlin import IntMatrix, smith_normal_form
 from k3evenset.families import GlueVector, families_for, make, overlattice
-from k3evenset.lattice import IntegerLattice, contains, inner
+from k3evenset.lattice import IntegerLattice, contains, inner, inner_scaled
 
 
 def test_group_of_nikulin():
@@ -50,11 +50,11 @@ def test_order_equals_abs_det_and_lift_invariants():
         assert g.order == abs(lat.determinant())
         for factor, lift in zip(g.invariant_factors, g.lifts):
             assert contains(lat, factor * lift)
-            # lift lies in the dual lattice
+            # lift lies in the dual lattice: inner raises on a pairing outside Z
             for b in lat.basis_vectors():
-                assert inner(lift, b).denominator == 1
+                assert isinstance(inner(lift, b), int)
             # canonical representative has coordinates in [0, 1)
-            assert all(0 <= c < 1 for c in lift.coords())
+            assert all(0 <= n < lift.denominator for n in lift.numerators)
     # each lift is the Fraction construction column i of V over d_i, for
     # every family with d <= 12 and an overlattice
     base = make("L:2d=8")
@@ -77,16 +77,30 @@ def test_overlattice_group_order_drops_by_four():
     order = discriminant_group(base).order
     over = overlattice(base, GlueVector(frozenset({1, 2, 3, 4})).glue_class(base.root()))
     assert discriminant_group(over).order * 4 == order
+    assert discriminant_group(over).invariant_factors == (2, 2, 2, 2, 8)
 
 
 def test_discriminant_form_values():
     ns2 = make("L:2d=2")
     half_l = ns2.root().vector([Fraction(1, 2)] + [0] * 8)
-    assert discriminant_form(ns2, half_l) == Fraction(1, 2)
-    assert discriminant_form(ns2, ns2.root().basis_vector(0)) == 0
+    assert discriminant_form(ns2, half_l) == (1, 2)
+    assert discriminant_form(ns2, ns2.root().basis_vector(0)) == (0, 1)
     nik = make("N")
     x = nik.root().vector([Fraction(1, 2), Fraction(1, 2), 0, 0, 0, 0, 0, 0])
-    assert discriminant_form(nik, x) == 1  # (N1+N2)^2/4 = -1 = 1 mod 2Z
+    assert discriminant_form(nik, x) == (1, 1)  # (N1+N2)^2/4 = -1 = 1 mod 2Z
+    ns6 = make("L:2d=6")
+    assert discriminant_form(ns6, ns6.root().vector([Fraction(1, 2)] + [0] * 8)) == (3, 2)
+
+
+def test_discriminant_form_matches_fraction_reduction():
+    # on every generator lift and every sum of two, the pair is the lowest-terms
+    # value of x.x mod 2 that Fraction arithmetic gives
+    for label in ("L:2d=6", "L:2d=8", "L':2d=8", "M:2d'=6", "M':2d'=8", "N"):
+        lat = make(label)
+        lifts = discriminant_group(lat).lifts
+        for x in lifts + tuple(a + b for a in lifts for b in lifts):
+            want = Fraction(*inner_scaled(x, x)) % 2
+            assert discriminant_form(lat, x) == (want.numerator, want.denominator)
 
 
 def test_discriminant_form_shift_invariance():

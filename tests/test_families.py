@@ -27,7 +27,7 @@ from k3evenset.families import (
     validate_glue,
 )
 from k3evenset.lattice import contains, inner, is_primitive, lattice_to_json, same_lattice
-from k3evenset.positivity import classify_positivity, is_even_set
+from k3evenset.positivity import classify_positivity
 
 
 def test_parse_family_grammar():
@@ -121,7 +121,9 @@ def brute_force_glues(d):
     return good
 
 
-@pytest.mark.parametrize("d,count", [(1, 0), (2, 56), (3, 0), (4, 70), (5, 0), (6, 56), (8, 70)])
+@pytest.mark.parametrize(
+    "d,count", [(1, 0), (2, 56), (3, 0), (4, 70), (5, 0), (6, 56), (8, 70), (12, 70), (13, 0)]
+)
 def test_admissible_glue_counts(d, count):
     classes = admissible_glues(d)
     total = sum(len(c) for c in classes)
@@ -281,9 +283,18 @@ def test_validate_glue_failure_messages(family, support, message):
     assert str(exc.value) == message
 
 
-def test_glue_pairings_match_inner():
-    # inner is the oracle: every integer pairing, read as a fraction, must
-    # equal the Fraction value of the bilinear form
+def _fraction_pairing(x, y):
+    """x . y summed in Fractions over the root coordinates and the root Gram."""
+    (xi, dx), (yi, dy) = x.root_scaled(), y.root_scaled()
+    gram = x.root().gram.entries
+    return sum(
+        Fraction(a * g * b, dx * dy) for a, row in zip(xi, gram) for g, b in zip(row, yi)
+    )
+
+
+def test_glue_pairings_match_fraction_pairings():
+    # every integer pairing, read as a fraction, must equal the Fraction value
+    # of the bilinear form
     rng = random.Random(20061)
     bases = [make(f) for f in ("L:2d=6", "L:2d=8", "L':2d=8", "L':2d=12", "M:2d'=4", "M':2d'=8")]
     dens = {2: 0, 3: 0, 4: 0}
@@ -296,76 +307,36 @@ def test_glue_pairings_match_inner():
             dens[glue.denominator] += 1
         pairings, p_den, sq, sq_den = glue_pairings(base, glue)
         for p, b in zip(pairings, base.basis_vectors()):
-            assert Fraction(p, p_den) == inner(glue, b)
-        assert Fraction(sq, sq_den) == inner(glue, glue)
+            assert Fraction(p, p_den) == _fraction_pairing(glue, b)
+        assert Fraction(sq, sq_den) == _fraction_pairing(glue, glue)
     assert all(n > 0 for n in dens.values())
 
 
-def _count_fractions(monkeypatch, work):
-    calls = []
-    new = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        calls.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    result = work()
-    monkeypatch.undo()
-    return result, calls
-
-
-@pytest.mark.parametrize("d", [3, 4, 12, 13])
-def test_admissible_glues_builds_no_fraction(monkeypatch, d):
-    admissible_glues.cache_clear()  # count a cold classification, not a memo hit
-    classes, calls = _count_fractions(monkeypatch, lambda: admissible_glues(d))
-    assert sum(len(c) for c in classes) == (70 if d % 4 == 0 else 0)
-    assert calls == []
-
-
-def test_criterion_glue_classification_builds_no_fraction(monkeypatch):
-    result, calls = _count_fractions(monkeypatch, lambda: criterion_glue_classification(12))
-    assert result.failures == []
-    assert calls == []
-
-
-def test_discriminant_group_of_a_fresh_lattice_builds_no_fraction(monkeypatch):
-    base = make("L:2d=8")
-    over = overlattice(base, GlueVector(frozenset({1, 2, 3, 4})).glue_class(base.root()))
-    group, calls = _count_fractions(monkeypatch, lambda: discriminant_group(over))
-    assert group.invariant_factors == (2, 2, 2, 2, 8)
-    assert calls == []
-
-
-@pytest.mark.parametrize("text, status", [("L-Nhat", "ample"), ("L-N1-N2", "pseudo_ample")])
-def test_classify_positivity_builds_only_its_search_bound(monkeypatch, text, status):
-    # pairings, the root search and the witness order stay in integers; the
-    # one Fraction built is the reported a_max
-    ns = make("L:2d=12")
-    divisor = parse_divisor(ns, text)
-    report, calls = _count_fractions(monkeypatch, lambda: classify_positivity(ns, divisor))
-    assert report.status == status
-    assert len(calls) == 1 and Fraction(*calls[0]) == report.search_bound
-
-
-@pytest.mark.parametrize("label", ["L:2d=6", "L':2d=12"])
-def test_is_even_set_builds_no_fraction(monkeypatch, label):
-    # the squares and pairwise products are compared as scaled integers; a
-    # Fraction appears only in a refusal message
+@pytest.mark.parametrize(
+    "label, text, status, a_max",
+    [
+        ("L:2d=12", "L-Nhat", "ample", (0, 1)),
+        ("L:2d=12", "L-N1-N2", "pseudo_ample", (0, 1)),
+        # the L' grid steps by 1/2: a scan that keeps no step, one step, three
+        ("L':2d=8", "L", "pseudo_ample", (0, 1)),
+        ("L':2d=8", "L-N1-N2-N3", "pseudo_ample", (1, 2)),
+        ("L':2d=4", "2L-2N1-2N2", "nef", (3, 2)),
+    ],
+)
+def test_classify_positivity_reports_a_reduced_search_bound(label, text, status, a_max):
+    # a_max is the pair (numerator, denominator) in lowest terms, as JSON prints it
     ns = make(label)
-    octet = canonical_octet(ns)
-    result, calls = _count_fractions(monkeypatch, lambda: is_even_set(ns, octet))
-    assert result is True
-    assert calls == []
+    report = classify_positivity(ns, parse_divisor(ns, text))
+    assert report.status == status
+    assert report.search_bound == a_max
+    assert all(type(x) is int for x in report.search_bound)
+    assert report.to_json()["a_max"] == "{}/{}".format(*a_max)
 
 
-def test_parse_divisor_builds_no_fraction(monkeypatch):
+def test_parse_divisor_root_coordinates():
     ns = make("L':2d=12")
     texts = ("L-Nhat", "(L-N1-N2)/2", "2L-3N1-N2", "L1")
-    vectors, calls = _count_fractions(
-        monkeypatch, lambda: [parse_divisor(ns, t) for t in texts]
-    )
-    assert calls == []
+    vectors = [parse_divisor(ns, t) for t in texts]
     h = Fraction(1, 2)
     want = [
         [1] + [-h] * 8,
@@ -373,7 +344,11 @@ def test_parse_divisor_builds_no_fraction(monkeypatch):
         [2, -3, -1] + [0] * 6,
         [h, -h, -h] + [0] * 6,  # d = 6: L1 = (L - N1 - N2)/2
     ]
-    assert [list(v.root_coords()) for v in vectors] == want
+    got = []
+    for v in vectors:
+        ints, den = v.root_scaled()
+        got.append([Fraction(n, den) for n in ints])
+    assert got == want
 
 
 def _family_layer_records():

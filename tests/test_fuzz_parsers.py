@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from k3evenset.chow import parse_ci  # noqa: E402
-from k3evenset.cli import main  # noqa: E402
+from k3evenset.cli import build_parser, main  # noqa: E402
 from k3evenset.families import make, parse_divisor, parse_family  # noqa: E402
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -195,6 +195,22 @@ def test_accepted_support_is_ascii(support):
     assert_result_or_usage_error(code, err)
     if code == 0:
         assert support.isascii()
+
+
+@FUZZ
+@given(mixed_spaces, mixed_digits, mixed_spaces)
+def test_accepted_integer_arguments_are_ascii(pre, digits, post):
+    # glues d and verify-paper --dmax: parsing only, since --dmax would run the suite
+    text = pre + digits + post
+    for argv in (["glues", text], ["verify-paper", "--dmax", text]):
+        try:
+            with redirect_stderr(io.StringIO()):
+                args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            continue
+        assert text.isascii() and text.isdigit()
+        assert (args.d if argv[0] == "glues" else args.dmax) == int(text)
 
 
 def test_jobs_flag_is_gone():

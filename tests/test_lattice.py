@@ -20,6 +20,7 @@ from k3evenset.lattice import (
     coords_in,
     frames_compatible,
     inner,
+    inner_scaled,
     is_primitive,
     isometry_from_basis_map,
     lattice_to_json,
@@ -60,8 +61,8 @@ def test_inner_is_bilinear_and_even():
     for _ in range(40):
         coords = [rng.randint(-3, 3) for _ in range(9)]
         x = ns.vector(coords)
-        assert inner(x, x).denominator == 1
-        assert inner(x, x).numerator % 2 == 0
+        assert type(inner(x, x)) is int
+        assert inner(x, x) % 2 == 0
         y = ns.vector([rng.randint(-3, 3) for _ in range(9)])
         assert inner(x, y) == inner(y, x)
         z = x + y
@@ -74,7 +75,7 @@ def test_inner_is_bilinear_and_even():
     root = ns.root()
     twin = IntegerLattice(root.name, root.gram, root.basis_names)
     assert twin is not root and frames_compatible(ns, twin)
-    coords = [v.coords() for v in discriminant_group(ns).lifts]
+    coords = [fractions_of(v) for v in discriminant_group(ns).lifts]
     coords += [[Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(9)] for _ in range(8)]
     non_integral = 0
     for cx in coords:
@@ -85,12 +86,31 @@ def test_inner_is_bilinear_and_even():
             ry = _root_coords_by_fractions(ns, cy)
             assert _gram_sum(root.gram, rx, ry) == want
             for y in (ns.vector(cy), root.vector(ry), twin.vector(ry)):
-                got = inner(x, y)
-                assert type(got) is Fraction and got == want
-            assert inner(twin.vector(rx), ns.vector(cy)) == want
+                assert Fraction(*inner_scaled(x, y)) == want
+                assert_inner(x, y, want)
+            assert_inner(twin.vector(rx), ns.vector(cy), want)
             non_integral += want.denominator > 1
         assert x.gram_row() is x.gram_row()
     assert non_integral > 100
+
+
+def assert_inner(x, y, want):
+    """inner(x, y) is the int want, or raises when want is not an integer."""
+    if want.denominator == 1:
+        got = inner(x, y)
+        assert type(got) is int and got == want
+    else:
+        with pytest.raises(ValueError, match=f"= {want} is not an integer"):
+            inner(x, y)
+
+
+def test_inner_raises_on_a_half_integral_square():
+    # (L + N1 + N2)/2 in the split frame of L:2d=6 has square (6 - 4)/4 = 1/2
+    ns = make("L:2d=6")
+    v = parse_divisor(ns, "(L+N1+N2)/2")
+    assert Fraction(*inner_scaled(v, v)) == Fraction(1, 2)
+    with pytest.raises(ValueError, match=r"^<1/2\*L\+1/2\*N1\+1/2\*N2 in Lsplit:2d=6> \. .* = 1/2 is not an integer$"):
+        inner(v, v)
 
 
 def _root_coords_by_fractions(lat, coords):
@@ -273,9 +293,14 @@ def test_json_round_trip():
     assert same_lattice(back, ns)
 
 
+def fractions_of(v):
+    """The coordinates of v in its own basis, as Fractions."""
+    return [Fraction(n, v.denominator) for n in v.numerators]
+
+
 def fraction_root(v):
     """Root coordinates of v computed in Fraction arithmetic from its frame."""
-    coords = [Fraction(x) for x in v.coords()]
+    coords = fractions_of(v)
     lat = v.lattice
     while lat.frame is not None:
         parent, rows, s = lat.frame
@@ -301,24 +326,65 @@ def test_frame_vector_arithmetic_against_fractions():
         # same lattice: the result stays in the lattice's own basis
         for got, op in ((x + y, lambda a, b: a + b), (x - y, lambda a, b: a - b)):
             assert got.lattice is ns
-            assert list(got.coords()) == [op(a, b) for a, b in zip(x.coords(), y.coords())]
+            assert fractions_of(got) == [op(a, b) for a, b in zip(fractions_of(x), fractions_of(y))]
         # L against L' over a shared root: the result lives in the root frame
         z = rand_vec(nsp)
         for got, op in ((x + z, lambda a, b: a + b), (z - x, lambda a, b: b - a)):
             assert got.lattice is ns.root()
-            assert list(got.coords()) == [
+            assert fractions_of(got) == [
                 op(a, b) for a, b in zip(fraction_root(x), fraction_root(z))
             ]
         for k in SCALARS:
-            assert list((k * x).coords()) == [k * c for c in x.coords()]
-            assert list((x * k).coords()) == [c * k for c in x.coords()]
+            assert fractions_of(k * x) == [k * c for c in fractions_of(x)]
+            assert fractions_of(x * k) == [c * k for c in fractions_of(x)]
             if k:
-                assert list((x / k).coords()) == [c / k for c in x.coords()]
-        assert list((-z).coords()) == [-c for c in z.coords()]
+                assert fractions_of(x / k) == [c / k for c in fractions_of(x)]
+        assert fractions_of(-z) == [-c for c in fractions_of(z)]
     with pytest.raises(ZeroDivisionError):
         x / 0
     with pytest.raises(ValueError, match="incompatible frames"):
         x + make("M:2d'=8").basis_vector(0)
+    for op in (lambda: 0.5 * x, lambda: x * 0.5, lambda: x / 2.0, lambda: ns.vector([0.5] + [0] * 8)):
+        with pytest.raises(TypeError, match="is not an exact rational"):
+            op()
+
+
+def fraction_repr(v):
+    """FrameVector's repr, built from Fraction coordinates."""
+    terms = []
+    for name, c in zip(v.lattice.basis_names, fractions_of(v)):
+        if c == 0:
+            continue
+        if c == 1:
+            terms.append(f"+{name}")
+        elif c == -1:
+            terms.append(f"-{name}")
+        else:
+            terms.append(f"{'+' if c > 0 else '-'}{abs(c)}*{name}")
+    body = "".join(terms).lstrip("+") or "0"
+    return f"<{body} in {v.lattice.name}>"
+
+
+def test_repr_eq_and_hash_against_fractions():
+    # repr prints each coordinate as str(Fraction) does; two vectors are equal,
+    # and hash alike, exactly when their Fraction root coordinates agree
+    rng = random.Random(47)
+    ns, nsp = make("L:2d=8"), make("L':2d=8")
+    vectors = [ns.vector([0] * 9)]
+    for _ in range(60):
+        lat = rng.choice((ns, nsp, ns.root()))
+        den = rng.choice((1, 2, 3, 4, 6))
+        vectors.append(lat.vector([Fraction(rng.randint(-7, 7), den) for _ in range(9)]))
+    # the same points read in another basis of the shared root
+    vectors += [v + ns.root().vector([0] * 9) for v in vectors[:20]]
+    for v in vectors:
+        assert repr(v) == fraction_repr(v)
+        for w in vectors:
+            same = fraction_root(v) == fraction_root(w)
+            assert (v == w) is same
+            if same:
+                assert hash(v) == hash(w)
+    assert ns.basis_vector(0) != make("L:2d=6").basis_vector(0)
 
 
 def test_framed_reduces_a_non_minimal_denominator():

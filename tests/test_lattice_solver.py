@@ -81,7 +81,8 @@ def q_rank(rows):
 
 
 def basis_in_root(lat):
-    return [v.root_coords() for v in lat.basis_vectors()]
+    rows, s = lat.basis_in_root_scaled()
+    return [[Fraction(x, s) for x in row] for row in rows]
 
 
 def random_sublattice(rng, ambient, name):

@@ -10,20 +10,12 @@ from k3evenset.models import (
     FiberConfiguration,
     _verify_configuration,
     families_distinct,
-    fibration_euler_check,
     model_descriptor,
     polarization_pair_gram,
     sufficient_condition_lattices,
     table1_golden,
     verify_table1,
 )
-
-
-def test_fibration_euler_check():
-    assert fibration_euler_check(FiberConfiguration(12, 6))
-    assert fibration_euler_check(FiberConfiguration(16, 4))
-    assert fibration_euler_check(FiberConfiguration(20, 2))
-    assert not fibration_euler_check(FiberConfiguration(10, 5))
 
 
 def test_descriptor_l2_polarization_l():

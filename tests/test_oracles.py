@@ -204,19 +204,25 @@ def square_tuples(n, total):
     return out
 
 
+def root_fractions(v):
+    """The root-frame coordinates of v, as Fractions."""
+    ints, den = v.root_scaled()
+    return tuple(Fraction(n, den) for n in ints)
+
+
 def unpruned_roots(ns, divisor, strict, a_cap):
     """Every C = a L - sum beta_i N_i / 2 with C^2 = -2, a up to a_cap on the
     grid, D.C <= 0 (or < 0) and C in ns, with no pruning at all."""
     root = ns.root()
     g = root.gram.entries
-    dc = divisor.root_coords()
+    dc = root_fractions(divisor)
     # 2 D.C = 2 w_0 a - sum w_j beta_j with w = G D; scaled by m to integers
     w = [sum(dc[i] * g[i][j] for i in range(9)) for j in range(9)]
     m = 1
     for x in w:
         m = lcm(m, x.denominator)
     wi = [int(x * m) for x in w[1:]]
-    den = lcm(*(v.root_coords()[0].denominator for v in ns.basis_vectors()))
+    den = lcm(*(root_fractions(v)[0].denominator for v in ns.basis_vectors()))
     bound = 2 * m * (-1 if strict else 0)
     out = []
     k = 1
@@ -233,7 +239,7 @@ def unpruned_roots(ns, divisor, strict, a_cap):
             c = root.vector([a] + [Fraction(-x, 2) for x in beta])
             if contains(ns, c):
                 assert inner(c, c) == -2
-                out.append(c.root_coords())
+                out.append(root_fractions(c))
     return sorted(out)
 
 
@@ -268,7 +274,7 @@ def test_oracle_obstructing_roots_matches_unpruned_scan():
         ns = make(family)
         dv = parse_divisor(ns, text)
         for strict in (False, True):
-            got = [c.root_coords() for c in oracle_obstructing_roots(ns, dv, strict, Fraction(a_cap))]
+            got = list(map(root_fractions, oracle_obstructing_roots(ns, dv, strict, Fraction(a_cap))))
             assert got == unpruned_roots(ns, dv, strict, a_cap), (family, text, strict)
             roots += len(got)
             strict_roots += len(got) if strict else 0

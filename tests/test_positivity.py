@@ -33,6 +33,11 @@ def _criterion3_cases(dmax=12):
     return cases
 
 
+def _root_fractions(v):
+    ints, den = v.root_scaled()
+    return tuple(Fraction(n, den) for n in ints)
+
+
 def test_integer_sort_key_orders_as_root_coords():
     # every vector the root search ranks: the octet members and roots that
     # obstruct, and the fixed-curve candidates of pencil_decomposition
@@ -48,11 +53,11 @@ def test_integer_sort_key_orders_as_root_coords():
     assert sum(map(len, groups)) > 500
     for vectors in groups:
         for v in vectors:
-            twice = [2 * c for c in v.root_coords()]
+            twice = [2 * c for c in _root_fractions(v)]
             assert all(t.denominator == 1 for t in twice)
             assert _twice_root_coords(v) == tuple(twice)
         by_int = sorted(vectors, key=_twice_root_coords)
-        by_fraction = sorted(vectors, key=lambda c: c.root_coords())
+        by_fraction = sorted(vectors, key=_root_fractions)
         assert [id(v) for v in by_int] == [id(v) for v in by_fraction]
 
 
@@ -129,7 +134,7 @@ def test_mixed_weight_divisors_are_certified():
         ns, dv = divisor(label, text)
         report = classify_positivity(ns, dv)
         assert report.status == status, (label, text)
-        assert report.search_bound == 0
+        assert report.search_bound == (0, 1)
     assert report.witness == ns.root().basis_vector(8)
     assert isotropic_classes(ns, dv, [1, 2]) == []
 
@@ -195,7 +200,7 @@ def test_enumerate_rejects_divisor_outside_lattice():
 
 
 def test_even_set_on_l_families():
-    for label in ("L:2d=4", "L:2d=6", "L':2d=8"):
+    for label in ("L:2d=4", "L:2d=6", "L':2d=8", "L':2d=12"):
         ns = make(label)
         assert is_even_set(ns, canonical_octet(ns))
 
@@ -254,7 +259,8 @@ def test_even_set_false_in_m2_on_explicit_octet():
     root = m2.root()
     # reuse the coordinate tuples: the same coordinates in the E8(-2) block
     # give vectors of twice the norm, so each M + w has square 2 - 4 = -2
-    classes = [root.vector([1] + list(v.coords())) for v in octet]
+    assert all(v.denominator == 1 for v in octet)
+    classes = [root.vector([1, *v.numerators]) for v in octet]
     for i, c in enumerate(classes):
         assert inner(c, c) == -2
         for j in range(i):

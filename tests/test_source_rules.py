@@ -21,18 +21,30 @@ def test_package_source_has_no_assert():
     assert found == []
 
 
+def _imports(module):
+    """(stem, "file:line") of each package import of module."""
+    return [
+        (path.stem, f"{path.name}:{node.lineno}")
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(a.name == module for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == module
+    ]
+
+
 def test_no_package_module_imports_dataclasses():
     # importing dataclasses pulls in inspect, dis, ast and tokenize (about 9 ms
     # of a cold CLI call on CPython 3.11), and each decorated class adds about
     # 1 ms of generated code; the records are typing.NamedTuple classes instead
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
-        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
-    ]
-    assert found == []
+    assert _imports("dataclasses") == []
+
+
+def test_only_acceptance_imports_fractions():
+    # intersection numbers are integers and every other rational is an integer
+    # pair; only the acceptance oracles keep independent Fraction arithmetic
+    found = _imports("fractions")
+    assert [where for stem, where in found if stem != "acceptance"] == []
+    assert [stem for stem, _ in found] == ["acceptance"]  # the walk does see imports
 
 
 # Public names kept although no package module reads them yet, each with its

@@ -12,7 +12,6 @@ from math import isqrt
 
 import pytest
 
-import k3evenset.exactlin as exactlin
 from k3evenset.exactlin import IntMatrix, Signature, _symmetric_bareiss, signature
 from k3evenset.families import make
 from k3evenset.lattice import IntegerLattice, short_vectors
@@ -224,22 +223,3 @@ def test_short_vectors_on_random_negative_definite_forms():
 def test_short_vectors_rejects_forms_that_are_not_negative_definite(lat):
     with pytest.raises(ValueError, match="negative definite"):
         short_vectors(lat, 2)
-
-
-def test_short_vectors_builds_no_fraction(monkeypatch):
-    calls = []
-    new = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        calls.append(args)
-        return new(cls, *args, **kwargs)
-
-    lat = make("E8(-2)")
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    assert len(short_vectors(lat, 4)) == 240
-    monkeypatch.undo()
-    assert calls == []
-
-
-def test_exactlin_has_no_fraction():
-    assert not hasattr(exactlin, "Fraction")

@@ -14,6 +14,9 @@ built here from `bench/` (which this script only imports):
   queries each, and the 4 bound-fault queries;
 * `table1`, `glues 1` ... `glues 60`, and `disc` of L, L', M and M' with the
   label parameter 2, 4, ..., 40;
+* fixed records (`FIXED`) whose answers print a rational: the adjoined
+  squares 1/2, -3/2 and 1 of refused overlattices, and witnesses with
+  coefficients 1/2;
 * each of the above with `--format json` and with `--format text`;
 * `verify-paper --format json`, compared without its `elapsed_s` fields;
 * each `overlattice --support` record again, with its indices reversed,
@@ -40,6 +43,13 @@ BENCH = TOOLS.parent / "bench"
 STREAMS = ("exit", "stdout", "stderr")
 USAGE = "usage: python3 tools/same_outputs.py OLD_SRC NEW_SRC"
 VERIFY_PAPER = ["--format", "json", "verify-paper"]
+FIXED = [
+    ["overlattice", "L:2d=6", "--support", "1,2"],
+    ["overlattice", "L:2d=6", "--support", "1,2,3,4,5,6"],
+    ["overlattice", "L:2d=8", "--support", "1,2"],
+    ["hyperelliptic", "L':2d=12", "--divisor", "2L1"],
+    ["hyperelliptic", "L':2d=8", "--divisor", "L1+L2"],
+]
 
 
 def records() -> list[list[str]]:
@@ -56,6 +66,7 @@ def records() -> list[list[str]]:
     argvs.append(["table1"])
     argvs += [["glues", str(d)] for d in range(1, 61)]
     argvs += [["disc", family_label(k, p)] for k in ("L", "L'", "M", "M'") for p in range(1, 21)]
+    argvs += FIXED
     out = [["--format", fmt, *argv] for fmt in ("json", "text") for argv in argvs]
     return out + [VERIFY_PAPER]
 
